@@ -112,11 +112,8 @@ def build(
     return UniformHypergraph(k, n, tuple(canon), parent_vertices)
 
 
-def is_connected(H: UniformHypergraph) -> bool:
-    """True iff the incidence structure has a single component.
-
-    Isolated vertices count as components of their own.
-    """
+def _component_roots(H: UniformHypergraph) -> list[int]:
+    """Union-find representative of every vertex (entry 0 is a dummy)."""
     parent = list(range(H.n + 1))
 
     def find(a: int) -> int:
@@ -129,8 +126,15 @@ def is_connected(H: UniformHypergraph) -> bool:
         r = find(e[0])
         for v in e[1:]:
             parent[find(v)] = r
-    roots = {find(v) for v in range(1, H.n + 1)}
-    return len(roots) == 1
+    return [find(v) for v in range(H.n + 1)]
+
+
+def is_connected(H: UniformHypergraph) -> bool:
+    """True iff the incidence structure has a single component.
+
+    Isolated vertices count as components of their own.
+    """
+    return len(set(_component_roots(H)[1:])) == 1
 
 
 def is_hypertree(H: UniformHypergraph) -> bool:
@@ -140,30 +144,32 @@ def is_hypertree(H: UniformHypergraph) -> bool:
 
 def is_hyperforest(H: UniformHypergraph) -> bool:
     """Every connected component is a hypertree (or an isolated vertex)."""
-    parent = list(range(H.n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in H.edges:
-        r = find(e[0])
-        for v in e[1:]:
-            parent[find(v)] = r
+    root = _component_roots(H)
     comp_vertices: dict[int, int] = {}
     comp_edges: dict[int, int] = {}
     for v in range(1, H.n + 1):
-        r = find(v)
-        comp_vertices[r] = comp_vertices.get(r, 0) + 1
+        comp_vertices[root[v]] = comp_vertices.get(root[v], 0) + 1
     for e in H.edges:
-        r = find(e[0])
-        comp_edges[r] = comp_edges.get(r, 0) + 1
+        comp_edges[root[e[0]]] = comp_edges.get(root[e[0]], 0) + 1
     return all(
         comp_vertices[r] == comp_edges.get(r, 0) * (H.k - 1) + 1
         for r in comp_vertices
     )
+
+
+def edge_adjacency_masks(H: UniformHypergraph) -> list[int]:
+    """Bitmask per edge of the other edges sharing a vertex with it."""
+    at = [0] * (H.n + 1)
+    for i, e in enumerate(H.edges):
+        for v in e:
+            at[v] |= 1 << i
+    adj = []
+    for i, e in enumerate(H.edges):
+        mask = 0
+        for v in e:
+            mask |= at[v]
+        adj.append(mask & ~(1 << i))
+    return adj
 
 
 def induced(H: UniformHypergraph, U: VertexSet | Iterable[int]) -> UniformHypergraph:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb as binomial
 from typing import Iterable, Sequence
 
 from . import _ratpoly as _rp
 from . import kernels
-from .core import UniformHypergraph, is_hyperforest
+from .core import UniformHypergraph, edge_adjacency_masks, is_hyperforest
 from .errors import NotAHyperforest, TooManyEdgesForOracle, ValidationError
 
 DEFAULT_ORACLE_EDGE_LIMIT = 24
@@ -107,16 +106,25 @@ def poly_sub(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
     return poly_add(p, alpha_poly([-c for c in q.coeffs]))
 
 
+def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two nonempty little-endian integer coefficient lists."""
+    if len(a) == 1 and a[0] == 1:
+        return list(b)
+    if len(b) == 1 and b[0] == 1:
+        return list(a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def poly_mul(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
     """Exact convolution; realizes multiplicativity over disjoint unions."""
     if not p.coeffs or not q.coeffs:
         return ZERO
-    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        if a:
-            for j, b in enumerate(q.coeffs):
-                out[i + j] += a * b
-    return alpha_poly(out)
+    return alpha_poly(convolve(p.coeffs, q.coeffs))
 
 
 def poly_pow(p: AlphaPolynomial, e: int) -> AlphaPolynomial:
@@ -206,117 +214,92 @@ def poly_from_json(obj: dict) -> AlphaPolynomial:
 # -- matching count computation ----------------------------------------------
 
 
-def _conflict_masks(H: UniformHypergraph) -> list[int]:
-    sets = [H.edge_vertex_set(i) for i in range(H.m)]
-    conf = [0] * H.m
-    for i in range(H.m):
-        for j in range(i + 1, H.m):
-            if sets[i] & sets[j]:
-                conf[i] |= 1 << j
-                conf[j] |= 1 << i
-    return conf
-
-
 def matching_counts_bruteforce(
     H: UniformHypergraph, limit: int = DEFAULT_ORACLE_EDGE_LIMIT
 ) -> MatchingCounts:
     """Oracle: count i-matchings by backtracking over edge subsets.
 
     Exponential in the worst case, hence the edge limit; serves as the
-    independent check for the pendant-edge recursion.
+    independent check for the tree recurrence.
     """
     if H.m > limit:
         raise TooManyEdgesForOracle(
             f"{H.m} edges exceeds the oracle limit {limit}"
         )
-    counts = kernels.count_matchings(_conflict_masks(H))
+    counts = kernels.count_matchings(edge_adjacency_masks(H))
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
     return MatchingCounts(tuple(counts))
 
 
-class MatchingDP:
-    """Pendant-edge deletion recursion over edge subsets of one host.
-
-    Subsets are bitmasks into the host's canonical edge list, so the
-    memo table is shared across every sub-hyperforest of the same host;
-    a subtree catalog reuses one instance for all its entries.
-
-    For a pendant edge e the recursion is
-        counts(F) = counts(F - e) + shift(counts(F - N[e]))
-    where F - e removes the edge only and F - N[e] removes e together
-    with every edge meeting it.  When no pendant edge exists every
-    remaining component is an isolated edge and the counts are binomial.
-    """
-
-    def __init__(self, H: UniformHypergraph, scan_order: str = "canonical"):
-        if scan_order not in ("canonical", "reverse"):
-            raise ValidationError(f"unknown scan order {scan_order!r}")
-        self._edges = H.edges
-        self._k = H.k
-        self._closed = [
-            (conf | (1 << i)) for i, conf in enumerate(_conflict_masks(H))
-        ]
-        self._scan = (
-            range(H.m)
-            if scan_order == "canonical"
-            else range(H.m - 1, -1, -1)
-        )
-        self._memo: dict[int, tuple[int, ...]] = {}
-
-    def counts(self, mask: int) -> tuple[int, ...]:
-        cached = self._memo.get(mask)
-        if cached is not None:
-            return cached
-        pendant = -1
-        isolated = 0
-        members = [i for i in self._scan if mask >> i & 1]
-        if members:
-            deg: dict[int, int] = {}
-            for i in members:
-                for v in self._edges[i]:
-                    deg[v] = deg.get(v, 0) + 1
-            for i in members:
-                ones = sum(1 for v in self._edges[i] if deg[v] == 1)
-                if ones == self._k - 1:
-                    pendant = i
-                    break
-                if ones == self._k:
-                    isolated += 1
-        if pendant < 0:
-            if isolated != len(members):
-                raise NotAHyperforest(
-                    "edge subset is not a hyperforest (no pendant edge found)"
-                )
-            t = isolated
-            result = tuple(binomial(t, i) for i in range(t + 1))
-        else:
-            without_edge = self.counts(mask & ~(1 << pendant))
-            without_nbhd = self.counts(mask & ~self._closed[pendant])
-            size = max(len(without_edge), len(without_nbhd) + 1)
-            merged = [0] * size
-            for i, v in enumerate(without_edge):
-                merged[i] += v
-            for i, v in enumerate(without_nbhd):
-                merged[i + 1] += v
-            result = tuple(merged)
-        self._memo[mask] = result
-        return result
+def add_shifted(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Counts ``a + x*b``: matchings of ``b`` gain one edge."""
+    out = list(a) + [0] * (len(b) + 1 - len(a))
+    for i, c in enumerate(b):
+        out[i + 1] += c
+    return out
 
 
-def matching_counts_tree(
-    H: UniformHypergraph, scan_order: str = "canonical"
-) -> MatchingCounts:
-    """Exact matching counts of a hyperforest by pendant-edge deletion.
+def matching_counts_tree(H: UniformHypergraph) -> MatchingCounts:
+    """Exact matching counts of a hyperforest by a leaf-to-root recurrence.
 
-    Polynomial-time counterpart of the brute-force oracle; the two agree
-    exactly on every hyperforest.  ``scan_order`` picks which pendant
-    edge is deleted first and must not change the result.
+    Each component is rooted at its smallest vertex.  Vertex v keeps two
+    count lists over its subtree: A_v for all matchings and B_v for
+    those leaving v uncovered.  Folding in a child edge e whose other
+    vertices are the children c gives
+
+        A_v <- A_v * prod A_c + x * B_v * prod B_c
+        B_v <- B_v * prod A_c
+
+    and the forest's counts are the product of the roots' A.  Vertices
+    are visited in reverse depth-first order from an explicit stack,
+    so there is no recursion.  Merging two parts costs the product of
+    their list lengths, so the total is O(m^2) coefficient operations
+    at most, reached on long loose paths.
     """
     if not is_hyperforest(H):
         raise NotAHyperforest("matching_counts_tree requires a hyperforest")
-    dp = MatchingDP(H, scan_order)
-    return MatchingCounts(dp.counts((1 << H.m) - 1))
+    incident: list[list[int]] = [[] for _ in range(H.n + 1)]
+    for i, e in enumerate(H.edges):
+        for v in e:
+            incident[v].append(i)
+    up = [-1] * (H.n + 1)  # edge towards the root; -1 at roots
+    order = []
+    for root in range(1, H.n + 1):
+        if up[root] >= 0:  # reached from an earlier root
+            continue
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for i in incident[v]:
+                if i != up[v]:
+                    for c in H.edges[i]:
+                        if c != v:
+                            up[c] = i
+                            stack.append(c)
+    A: list = [None] * (H.n + 1)
+    B: list = [None] * (H.n + 1)
+    total = [1]
+    for v in reversed(order):
+        a = b = [1]
+        for i in incident[v]:
+            if i == up[v]:
+                continue
+            pa = pb = [1]
+            for c in H.edges[i]:
+                if c != v:
+                    pa = convolve(pa, A[c])
+                    pb = convolve(pb, B[c])
+                    # freed at once: a long path would otherwise keep
+                    # O(m^2) big coefficients alive
+                    A[c] = B[c] = None
+            a, b = add_shifted(convolve(a, pa), convolve(b, pb)), convolve(b, pa)
+        if up[v] < 0:
+            total = convolve(total, a)
+        else:
+            A[v], B[v] = a, b
+    return MatchingCounts(tuple(total))
 
 
 def matching_polynomial(H: UniformHypergraph) -> AlphaPolynomial:

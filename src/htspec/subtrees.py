@@ -12,10 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .core import UniformHypergraph, induced, is_hypertree, vertex_union
+from .core import (
+    UniformHypergraph,
+    edge_adjacency_masks,
+    induced,
+    is_hypertree,
+    vertex_union,
+)
 from .errors import CatalogTooLarge, NotAHypertree
-from .matching import AlphaPolynomial, MatchingDP, poly_to_json, to_alpha_poly
-from .matching import MatchingCounts
+from .matching import AlphaPolynomial, MatchingCounts, add_shifted, convolve
+from .matching import poly_to_json, to_alpha_poly
 
 DEFAULT_MAX_SUBSETS = 10**6
 
@@ -83,17 +89,6 @@ class SubtreeCatalog:
         }
 
 
-def _adjacency_masks(H: UniformHypergraph) -> list[int]:
-    sets = [H.edge_vertex_set(i) for i in range(H.m)]
-    adj = [0] * H.m
-    for i in range(H.m):
-        for j in range(i + 1, H.m):
-            if sets[i] & sets[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
-
-
 def connected_edge_subsets(
     H: UniformHypergraph, max_subsets: int = DEFAULT_MAX_SUBSETS
 ) -> list[EdgeSubset]:
@@ -108,7 +103,7 @@ def connected_edge_subsets(
     if H.m == 0:
         return []
     try:
-        masks = kernels.connected_subset_masks(_adjacency_masks(H), max_subsets)
+        masks = kernels.connected_subset_masks(edge_adjacency_masks(H), max_subsets)
     except OverflowError:
         raise CatalogTooLarge(
             f"more than {max_subsets} connected edge subsets"
@@ -133,22 +128,69 @@ def subtree_hypergraph(H: UniformHypergraph, F: EdgeSubset) -> UniformHypergraph
     return induced(H, vertex_union(H, F.indices))
 
 
+def _subset_counts(
+    subsets: list[EdgeSubset], adj: list[int]
+) -> list[tuple[int, ...]]:
+    """Matching counts of every subset, each from smaller ones.
+
+    ``subsets`` must hold every connected edge subset of a hypertree in
+    (size, indices) order.  A connected F with two or more edges has a
+    pendant edge e, whose neighbours in F all share one vertex v of e;
+    F - e is connected, and removing e with all its neighbours leaves
+    components C that are connected and smaller.  So
+
+        counts(F) = counts(F - e) + x * prod_C counts(C)
+
+    reads only entries already computed, and the memo holds one entry
+    per connected subset.
+    """
+    memo: dict[int, tuple[int, ...]] = {}
+    out = []
+    for s in subsets:
+        mask = s.mask()
+        if len(s) == 1:
+            counts: tuple[int, ...] = (1, 1)
+        else:
+            for e in s.indices:
+                near = adj[e] & mask
+                first = near & -near
+                # e is pendant iff its neighbours meet each other (at v)
+                if near & ~adj[first.bit_length() - 1] == first:
+                    break
+            rest = mask & ~(near | 1 << e)
+            used = [1]
+            while rest:
+                comp = reach = rest & -rest
+                while reach:
+                    bit = reach & -reach
+                    reach = (reach ^ bit) | (adj[bit.bit_length() - 1] & rest & ~comp)
+                    comp |= reach
+                rest &= ~comp
+                used = convolve(used, memo[comp])
+            counts = tuple(add_shifted(memo[mask & ~(1 << e)], used))
+        memo[mask] = counts
+        out.append(counts)
+    return out
+
+
 def distinct_matching_polynomials(
     H: UniformHypergraph, max_subsets: int = DEFAULT_MAX_SUBSETS
 ) -> SubtreeCatalog:
     """Catalog every connected induced subtree with its matching polynomial.
 
-    Matching counts only see the edge subset, so one shared pendant-edge
-    recursion over host edge masks serves the whole catalog.  Vertex-only
-    subtrees (polynomial 1, no roots) are not represented.
+    Matching counts only see the edge subset, so each subset's counts
+    come from those of smaller connected subsets of the same host (see
+    ``_subset_counts``).  The work is a few bitmask operations and
+    convolutions per subset, so the catalog's cost follows its size,
+    which is exponential in m on bushy trees and quadratic on paths.
+    Vertex-only subtrees (polynomial 1, no roots) are not represented.
     """
     subsets = connected_edge_subsets(H, max_subsets)
-    dp = MatchingDP(H)
     poly_index: dict[AlphaPolynomial, int] = {}
     polys: list[AlphaPolynomial] = []
     assignment: list[int] = []
-    for s in subsets:
-        phi = to_alpha_poly(MatchingCounts(dp.counts(s.mask())))
+    for counts in _subset_counts(subsets, edge_adjacency_masks(H)):
+        phi = to_alpha_poly(MatchingCounts(counts))
         idx = poly_index.get(phi)
         if idx is None:
             idx = len(polys)

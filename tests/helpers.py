@@ -4,9 +4,31 @@ cross-checks that stay independent of the library code paths they test."""
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 from htspec import UniformHypergraph, build, disjoint_union, random_hypertree
+
+
+class Budget:
+    """Context manager asserting that its block ran within ``seconds``."""
+
+    def __init__(self, name, seconds):
+        self.name = name
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        elapsed = time.perf_counter() - self.start
+        if exc_type is None:
+            assert elapsed < self.seconds, (
+                f"{self.name} took {elapsed:.2f}s, budget {self.seconds}s"
+            )
+            print(f"PASS {self.name} ({elapsed:.2f}s)")
+        return False
 
 
 def random_nonpower_hypertree(

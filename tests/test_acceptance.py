@@ -5,9 +5,9 @@ per criterion including its runtime.
 """
 
 import random
-import time
 
 import helpers
+from helpers import Budget
 from htspec import (
     alpha_roots,
     build,
@@ -44,27 +44,8 @@ from htspec.subtrees import distinct_matching_polynomials, subtree_hypergraph
 SET_TOL = 1e-8
 
 
-class Budget:
-    def __init__(self, name, seconds):
-        self.name = name
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.perf_counter() - self.start
-        if exc_type is None:
-            assert elapsed < self.seconds, (
-                f"{self.name} took {elapsed:.2f}s, budget {self.seconds}s"
-            )
-            print(f"ACCEPTANCE PASS {self.name} ({elapsed:.2f}s)")
-        return False
-
-
 def test_criterion_1_golden_matching_polynomials():
-    """Pendant-edge recursion reproduces the published table exactly."""
+    """Tree recurrence reproduces the published table exactly."""
     table = {
         "P1": (loose_path(1, 3), {3: 1, 0: -1}),
         "P2": (loose_path(2, 3), {3: 1, 0: -2}),
@@ -91,7 +72,7 @@ def test_criterion_2_spectrum_assembly_matches_fixtures():
 
 
 def test_criterion_3_oracle_equivalence_and_multiplicativity():
-    """200 random hypertrees: recursion equals brute force exactly;
+    """200 random hypertrees: tree recurrence equals brute force exactly;
     100 random 2-3 component hyperforests: polynomial multiplicativity."""
     rng = random.Random(2024)
     with Budget("criterion 3: oracle equivalence + multiplicativity", 30.0):

@@ -211,6 +211,15 @@ def test_validation_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "generator" in err
 
 
+def test_long_path_has_no_recursion_limit(capsys, tmp_path):
+    path = tmp_path / "p1500.json"
+    path.write_text(core.dumps(core.loose_path(1500, 3)))
+    code, _, err = run(capsys, "subtrees", str(path), "--max-subsets", "5000")
+    assert code == 2 and "more than 5000 connected edge subsets" in err
+    code, out, _ = run(capsys, "matchpoly", str(path))
+    assert code == 0 and out.startswith("x^2250 - 1500x^2247 + 1122751x^2244 ")
+
+
 def test_cycle_input_exits_2(capsys, tmp_path):
     path = tmp_path / "cycle.json"
     path.write_text('{"k": 3, "n": 4, "edges": [[1, 2, 3], [1, 2, 4]]}')

@@ -1,21 +1,12 @@
-"""Compiled and pure-Python kernels agree and match naive enumeration."""
+"""Bitmask kernels match naive enumeration."""
 
 import random
 
 import pytest
 
 import helpers
-from htspec import _kernels_py, kernels, random_hypertree
-from htspec.matching import _conflict_masks
-
-try:
-    from htspec import _kernels as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled kernels not built"
-)
+from htspec import kernels, random_hypertree
+from htspec.core import edge_adjacency_masks
 
 
 def _random_masks(rng, m, density=0.4):
@@ -28,35 +19,15 @@ def _random_masks(rng, m, density=0.4):
     return masks
 
 
-@needs_compiled
-def test_count_matchings_backends_agree():
-    rng = random.Random(101)
-    for _ in range(30):
-        m = rng.randint(0, 12)
-        conf = _random_masks(rng, m)
-        assert compiled.count_matchings(conf) == _kernels_py.count_matchings(conf)
-
-
 def test_count_matchings_against_itertools():
     rng = random.Random(103)
     for _ in range(10):
         H = random_hypertree(rng.randint(1, 6), 3, rng)
-        conf = _conflict_masks(H)
+        conf = edge_adjacency_masks(H)
         counts = kernels.count_matchings(conf)
         while len(counts) > 1 and counts[-1] == 0:
             counts.pop()
         assert tuple(counts) == helpers.brute_matching_counts(H)
-
-
-@needs_compiled
-def test_connected_subsets_backends_agree():
-    rng = random.Random(107)
-    for _ in range(30):
-        m = rng.randint(1, 10)
-        adj = _random_masks(rng, m, density=0.3)
-        a = sorted(compiled.connected_subset_masks(adj, 10**6))
-        b = sorted(_kernels_py.connected_subset_masks(adj, 10**6))
-        assert a == b
 
 
 def test_connected_subsets_cover_all_connected_sets():
@@ -88,8 +59,8 @@ def test_cap_overflow():
 
 
 def test_python_fallback_handles_many_edges():
-    # beyond the 63-edge compiled limit the dispatcher must still work;
-    # all-pairwise-conflicting edges keep the matching enumeration tiny
+    # masks wider than a machine word; all-pairwise-conflicting edges
+    # keep the matching enumeration tiny
     m = 70
     full = (1 << m) - 1
     conf = [full & ~(1 << i) for i in range(m)]
@@ -103,8 +74,3 @@ def test_python_fallback_handles_many_edges():
         adj[i + 1] |= 1 << i
     masks = kernels.connected_subset_masks(adj, 10**6)
     assert len(masks) == m * (m + 1) // 2
-
-
-def test_dispatch_reports_backend():
-    assert kernels.backend_name() in ("compiled", "python")
-    assert kernels.COMPILED_AVAILABLE == (kernels.backend_name() == "compiled")

@@ -1,12 +1,14 @@
 """Matching counts, the alpha polynomial, and the comb closed form."""
 
 import random
+from math import comb as binomial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import Budget
 from htspec import (
     alpha_poly,
     alpha_str,
@@ -19,6 +21,7 @@ from htspec import (
     loose_path,
     matching_counts_bruteforce,
     matching_counts_tree,
+    matching_polynomial,
     power,
     random_hypertree,
     star,
@@ -81,14 +84,24 @@ def test_tree_dp_handles_forests():
     )
 
 
-def test_tree_dp_scan_order_is_irrelevant():
-    rng = random.Random(17)
-    for _ in range(15):
-        H = random_hypertree(rng.randint(1, 8), rng.choice([3, 4]), rng)
-        assert (
-            matching_counts_tree(H, scan_order="canonical").counts
-            == matching_counts_tree(H, scan_order="reverse").counts
-        )
+def test_matching_polynomial_of_long_path_and_star():
+    m = 1000
+    path_counts = tuple(binomial(m + 1 - i, i) for i in range((m + 1) // 2 + 1))
+    assert matching_polynomial(loose_path(m, 3)) == to_alpha_poly(
+        MatchingCounts(path_counts)
+    )
+    assert matching_polynomial(star(m, 3)) == to_alpha_poly(MatchingCounts((1, m)))
+
+
+def test_tree_dp_on_large_hosts_within_budget():
+    H = random_hypertree(200, 3, random.Random(61))
+    # two edges of a hypertree meet in at most one vertex
+    meeting_pairs = sum(binomial(d, 2) for d in H.degrees())
+    with Budget("tree DP: 5000-edge path, random 200-edge tree", 10.0):
+        assert matching_counts_tree(loose_path(5000, 3)).matching_number == 2500
+        counts = matching_counts_tree(H).counts
+    assert counts[1] == 200
+    assert counts[2] == binomial(200, 2) - meeting_pairs
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,6 +19,7 @@ from htspec import (
     pendant_edges,
     random_hypertree,
     subtree_hypergraph,
+    to_alpha_poly,
 )
 from htspec.core import vertex_union
 from htspec.errors import CatalogTooLarge, NotAHypertree
@@ -161,16 +162,16 @@ def test_catalog_comb3_polynomials():
 
 def test_catalog_polys_match_per_subset_dp():
     rng = random.Random(59)
-    H = random_hypertree(6, 3, rng)
-    catalog = distinct_matching_polynomials(H)
-    for F, idx in zip(catalog.subsets, catalog.poly_of_subset):
-        sub = subtree_hypergraph(H, F)
-        from htspec import to_alpha_poly
-
-        assert to_alpha_poly(matching_counts_tree(sub)) == catalog.polys[idx]
-        assert F.indices in {
-            catalog.subsets[j].indices for j in catalog.witnesses(idx)
-        }
+    hosts = [random_hypertree(6, 3, rng)]
+    hosts += [random_hypertree(rng.randint(7, 10), k, rng) for k in (3, 4, 3, 4)]
+    for H in hosts:
+        catalog = distinct_matching_polynomials(H)
+        for F, idx in zip(catalog.subsets, catalog.poly_of_subset):
+            sub = subtree_hypergraph(H, F)
+            assert to_alpha_poly(matching_counts_tree(sub)) == catalog.polys[idx]
+            assert F.indices in {
+                catalog.subsets[j].indices for j in catalog.witnesses(idx)
+            }
 
 
 def test_catalog_json_shape():

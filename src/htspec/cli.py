@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import core, fixtures, matching, spectra, subtrees
@@ -107,9 +108,9 @@ def _cmd_subtrees(args) -> int:
     else:
         print(f"{len(catalog.subsets)} connected edge subsets, "
               f"{len(catalog.polys)} distinct matching polynomials")
+        counts = Counter(catalog.poly_of_subset)
         for i, phi in enumerate(catalog.polys):
-            count = len(catalog.witnesses(i))
-            print(f"  {matching.alpha_str(phi)}   [{count} subtree(s)]")
+            print(f"  {matching.alpha_str(phi)}   [{counts[i]} subtree(s)]")
     return 0
 
 

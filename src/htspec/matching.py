@@ -15,7 +15,6 @@ coefficients and keeps degrees equal to matching numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import _ratpoly as _rp
@@ -59,14 +58,11 @@ class AlphaPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        """Evaluate by Horner; works for int, Fraction and complex."""
+        """Evaluate by Horner; works for exact and complex arguments."""
         acc = 0 * z
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
-
-    def derivative(self) -> "AlphaPolynomial":
-        return alpha_poly(i * c for i, c in enumerate(self.coeffs) if i)
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -74,10 +70,7 @@ class AlphaPolynomial:
 
 def alpha_poly(coeffs: Iterable[int]) -> AlphaPolynomial:
     """Normalize a little-endian coefficient sequence."""
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return AlphaPolynomial(tuple(cs))
+    return AlphaPolynomial(tuple(_rp.trim(list(coeffs))))
 
 
 ONE = alpha_poly([1])
@@ -93,17 +86,8 @@ def to_alpha_poly(c: MatchingCounts) -> AlphaPolynomial:
     return alpha_poly(cs)
 
 
-def poly_add(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
-    a, b = p.coeffs, q.coeffs
-    if len(a) < len(b):
-        a, b = b, a
-    return alpha_poly(
-        [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
-    )
-
-
 def poly_sub(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
-    return poly_add(p, alpha_poly([-c for c in q.coeffs]))
+    return AlphaPolynomial(tuple(_rp.sub(p.coeffs, q.coeffs)))
 
 
 def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -144,18 +128,8 @@ def poly_divmod(p: AlphaPolynomial, q: AlphaPolynomial):
     """Exact division over the integers; q must be monic."""
     if not q.is_monic():
         raise ValidationError("divisor must be monic")
-    rem = list(p.coeffs)
-    dq = q.degree
-    if len(rem) <= dq:
-        return ZERO, p
-    quo = [0] * (len(rem) - dq)
-    for top in range(len(rem) - 1, dq - 1, -1):
-        c = rem[top]
-        if c:
-            quo[top - dq] = c
-            for j, b in enumerate(q.coeffs):
-                rem[top - dq + j] -= c * b
-    return alpha_poly(quo), alpha_poly(rem)
+    quo, rem = _rp.divide(p.coeffs, q.coeffs)
+    return AlphaPolynomial(tuple(quo)), AlphaPolynomial(tuple(rem))
 
 
 def expand_to_x(p: AlphaPolynomial, k: int) -> dict[int, int]:
@@ -327,15 +301,17 @@ def comb_formula(k: int) -> AlphaPolynomial:
 
 
 def count_distinct_real_roots(p: AlphaPolynomial) -> int:
-    """Number of distinct real roots, by a Sturm chain over the rationals."""
+    """Number of distinct real roots, by a Sturm chain of primitive
+    pseudo-remainders; each is a positive multiple of the rational one,
+    so the sign variations are those of the classical chain."""
     if p.degree < 1:
         return 0
-    f = [Fraction(c) for c in p.coeffs]
+    f = list(p.coeffs)
     g = _rp.gcd(f, _rp.deriv(f))
     if len(g) > 1:
         f = _rp.div_exact(f, g)
-    chain = [f, _rp.trim(_rp.deriv(f))]
-    while chain[-1] and len(chain[-1]) > 1:
+    chain = [f, _rp.deriv(f)]
+    while len(chain[-1]) > 1:
         rem = _rp.rem(chain[-2], chain[-1])
         if not rem:
             break

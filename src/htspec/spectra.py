@@ -19,7 +19,6 @@ import cmath
 import random
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -50,33 +49,19 @@ _CLUSTER_TOL = 1e-8
 # -- squarefree decomposition (exact) ------------------------------------------
 
 
-def _to_int_poly(p: list[Fraction]) -> AlphaPolynomial:
-    from math import gcd, lcm
-
-    denom = lcm(*(c.denominator for c in p)) if p else 1
-    ints = [int(c * denom) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return alpha_poly(ints)
-
-
 def squarefree_decomposition(
     p: AlphaPolynomial,
 ) -> list[tuple[AlphaPolynomial, int]]:
     """Yun decomposition: pairwise coprime squarefree factors (q_i, i)
     with prod q_i^i equal to p up to a constant.
 
-    Exact rational arithmetic, so multiple roots are resolved before any
-    floating-point refinement happens.
+    A squarefree p comes back as [(p, 1)]; otherwise each q_i is
+    primitive with positive lead.  Exact integer arithmetic, so multiple
+    roots are resolved before any floating-point refinement happens.
     """
     if p.degree < 1:
         return []
-    f = [Fraction(c) for c in p.coeffs]
+    f = list(p.coeffs)
     g = _rp.gcd(f, _rp.deriv(f))
     if len(g) <= 1:
         return [(p, 1)]
@@ -87,7 +72,7 @@ def squarefree_decomposition(
     while len(b) > 1:
         a = _rp.gcd(b, d)
         if len(a) > 1:
-            out.append((_to_int_poly(a), i))
+            out.append((alpha_poly(a), i))
             b = _rp.div_exact(b, a)
             d = _rp.div_exact(d, a)
         d = _rp.sub(d, _rp.deriv(b))
@@ -237,7 +222,8 @@ def alpha_roots(
     Multiple roots are separated exactly (squarefree decomposition over
     the rationals) before refinement, so each numeric solve sees only
     simple roots; the refinement target is
-    ``|p(r)| <= root_tol * max|coeff| * max(1, |r|)^deg``.
+    ``|p(r)| <= root_tol * max|coeff| * max(1, |r|)^deg``.  Raises
+    DidNotConverge when that target is missed or overflows floats.
     """
     if p.degree < 0:
         raise ValidationError("the zero polynomial has no root set")
@@ -256,20 +242,25 @@ def alpha_roots(
         out.append((0j, zero_mult))
     maxc = max(abs(c) for c in p.coeffs)
 
-    for factor, mult in squarefree_decomposition(reduced):
-        if factor.degree < 1:
-            continue
-        roots = _aberth([float(c) for c in factor.coeffs], root_tol, rng)
-        roots = _symmetrize_real_coeff_roots(roots)
-        for z, times in _cluster(roots, _CLUSTER_TOL):
-            out.append((z, mult * times))
+    try:
+        for factor, mult in squarefree_decomposition(reduced):
+            if factor.degree < 1:
+                continue
+            roots = _aberth([float(c) for c in factor.coeffs], root_tol, rng)
+            roots = _symmetrize_real_coeff_roots(roots)
+            for z, times in _cluster(roots, _CLUSTER_TOL):
+                out.append((z, mult * times))
 
-    for z, _ in out:
-        bound = root_tol * maxc * max(1.0, abs(z)) ** p.degree
-        if abs(p(z)) > bound:
-            raise DidNotConverge(
-                f"root {z} of {alpha_str(p)} misses residual target"
-            )
+        for z, _ in out:
+            bound = root_tol * maxc * max(1.0, abs(z)) ** p.degree
+            if abs(p(z)) > bound:
+                raise DidNotConverge(
+                    f"root {z} of {alpha_str(p)} misses residual target"
+                )
+    except OverflowError:
+        raise DidNotConverge(
+            f"root refinement overflowed floats on degree {p.degree} polynomial"
+        ) from None
     out.sort(key=lambda item: (item[0].real, item[0].imag))
     return out
 

@@ -35,12 +35,10 @@ class EdgeSubset:
     @classmethod
     def from_mask(cls, mask: int) -> "EdgeSubset":
         out = []
-        i = 0
         while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
         return cls(tuple(out))
 
     def mask(self) -> int:

@@ -74,6 +74,14 @@ def test_radius(capsys, tmp_path):
     assert float(out) == pytest.approx(2 ** (1 / 3), abs=1e-12)
 
 
+def test_radius_float_overflow_exits_3(capsys, tmp_path):
+    path = tmp_path / "p100.json"
+    path.write_text(core.dumps(core.loose_path(100, 3)))
+    code, out, err = run(capsys, "radius", str(path))
+    assert code == 3
+    assert out == "" and err.startswith("error:") and "degree 50" in err
+
+
 def test_ispower_reports_agreement(capsys, tmp_path):
     path = tmp_path / "h1.json"
     path.write_text(core.dumps(core.comb(3)))
@@ -136,6 +144,17 @@ def test_subtrees_and_eigvec_text_output(capsys, tmp_path):
     assert "α - 2" in out
     code, out, _ = run(capsys, "eigvec", str(path))
     assert code == 0 and "lambda" in out and "x_5" in out
+    h3 = write_h3(tmp_path)
+    _, text, _ = run(capsys, "subtrees", h3)
+    _, blob, _ = run(capsys, "subtrees", h3, "--format", "json")
+    catalog = json.loads(blob)
+    per_poly = [
+        sum(s["phi_alpha"] == poly for s in catalog["subtrees"])
+        for poly in catalog["distinct_polys"]
+    ]
+    lines = text.splitlines()
+    assert len(lines) == 1 + len(per_poly)
+    assert [int(line.rsplit("[", 1)[1].split()[0]) for line in lines[1:]] == per_poly
 
 
 def test_check_paper_passes(capsys):

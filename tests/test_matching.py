@@ -237,6 +237,26 @@ def test_sturm_on_known_polynomials():
     assert count_distinct_real_roots(poly_mul(alpha_poly([1, 0, 1]), alpha_poly([-1, 1]))) == 1
     # (a-1)^2 counts once (distinct roots)
     assert count_distinct_real_roots(poly_pow(alpha_poly([-1, 1]), 2)) == 1
+    # linear factors with rational roots times quadratics a^2 + c, under
+    # non-unit and negative leading constants
+    lin_a, lin_b, lin_c = alpha_poly([-1, 2]), alpha_poly([1, 3]), alpha_poly([-3, 5])
+    quad_1, quad_2, quad_3 = (alpha_poly([c, 0, 1]) for c in (1, 2, 3))
+    cases = [
+        ([alpha_poly([-5]), poly_pow(lin_a, 2), lin_b, quad_2], 2),
+        ([alpha_poly([-7]), poly_pow(lin_b, 3), poly_pow(quad_1, 2), lin_a], 2),
+        ([alpha_poly([4]), poly_pow(lin_c, 2), poly_pow(quad_3, 2)], 1),
+        ([alpha_poly([-1]), lin_a, lin_b, lin_c, quad_2], 3),
+        # the Sturm chain's remainders are -17a - 26 and -1; the first
+        # divides a cubic, so scaling by lc^3 in place of |lc|^3 would
+        # flip the sign of the second
+        ([alpha_poly([-5]), alpha_poly([-2, 1]), alpha_poly([2, 3]), quad_2], 2),
+        ([quad_2], 0),
+    ]
+    for parts, expected in cases:
+        p = alpha_poly([1])
+        for part in parts:
+            p = poly_mul(p, part)
+        assert count_distinct_real_roots(p) == expected
 
 
 def test_poly_divmod_exact():

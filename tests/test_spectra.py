@@ -100,6 +100,30 @@ def test_squarefree_reconstruction():
         for base, mult in squarefree_decomposition(p):
             rebuilt = poly_mul(rebuilt, poly_pow(base, mult))
         assert rebuilt == p
+    # non-monic rational roots times quadratics, under non-unit and
+    # negative constants: factors come back primitive with positive lead
+    lin_a, lin_b, lin_c = alpha_poly([-1, 2]), alpha_poly([1, 3]), alpha_poly([-3, 5])
+    quad_1, quad_2, quad_3 = (alpha_poly([c, 0, 1]) for c in (1, 2, 3))
+    cases = [
+        (
+            [alpha_poly([-5]), poly_pow(lin_a, 2), lin_b, quad_2],
+            [((2, 6, 1, 3), 1), ((-1, 2), 2)],
+        ),
+        (
+            [alpha_poly([-7]), poly_pow(lin_b, 3), poly_pow(quad_1, 2), lin_a],
+            [((-1, 2), 1), ((1, 0, 1), 2), ((1, 3), 3)],
+        ),
+        (
+            [alpha_poly([4]), poly_pow(lin_c, 2), poly_pow(quad_3, 2)],
+            [((-9, 15, -3, 5), 2)],
+        ),
+    ]
+    for parts, expected in cases:
+        p = alpha_poly([1])
+        for part in parts:
+            p = poly_mul(p, part)
+        got = [(q.coeffs, mult) for q, mult in squarefree_decomposition(p)]
+        assert got == expected
 
 
 def test_lift_to_x():

@@ -165,13 +165,7 @@ def _cmd_radius(args) -> int:
 def _cmd_ispower(args) -> int:
     H = _read_hypergraph(args.input)
     structural = core.is_power_tree(H)
-    spectral = spectra.is_cyclotomic_spectrum(
-        H,
-        tol=args.tol,
-        root_tol=args.root_tol,
-        seed=args.seed,
-        max_subsets=args.max_subsets,
-    )
+    spectral = spectra.is_cyclotomic_spectrum(H, args.max_subsets)
     agreement = structural == spectral
     if args.format == "json":
         print(
@@ -192,13 +186,7 @@ def _cmd_ispower(args) -> int:
 
 def _cmd_cyclotomic(args) -> int:
     H = _read_hypergraph(args.input)
-    verdict = spectra.is_cyclotomic_spectrum(
-        H,
-        tol=args.tol,
-        root_tol=args.root_tol,
-        seed=args.seed,
-        max_subsets=args.max_subsets,
-    )
+    verdict = spectra.is_cyclotomic_spectrum(H, args.max_subsets)
     if args.format == "json":
         print(json.dumps({"cyclotomic_spectrum": verdict}))
     else:
@@ -313,6 +301,22 @@ def _cmd_check_paper(args) -> int:
     return 0 if ok_all else 2
 
 
+# The common flags each verb reads; any other common flag exits 2.  Only
+# spectrum prints CSV, so only its --format offers csv.
+_VERB_FLAGS = {
+    "gen": "--seed",
+    "matchpoly": "--format",
+    "subtrees": "--format --max-subsets",
+    "spectrum": "--tol --root-tol --seed --format --max-subsets",
+    "roots-csv": "--tol --root-tol --seed --max-subsets",
+    "radius": "--root-tol --seed --format",
+    "ispower": "--format --max-subsets",
+    "cyclotomic": "--format --max-subsets",
+    "eigvec": "--tol --root-tol --seed --format",
+    "check-paper": "--tol --root-tol --seed --format",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="htspec",
@@ -321,43 +325,45 @@ def _build_parser() -> argparse.ArgumentParser:
             "of connected induced subtrees."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=spectra.DEFAULT_SET_TOL,
-        help="set membership / dedup tolerance (default 1e-8)",
-    )
-    common.add_argument(
-        "--root-tol",
-        type=float,
-        default=spectra.DEFAULT_ROOT_TOL,
-        help="polynomial root residual target (default 1e-12)",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=spectra.DEFAULT_SEED,
-        help="PRNG seed for root-finder starts and random generation",
-    )
-    common.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format (csv applies to spectrum output)",
-    )
-    common.add_argument(
-        "--max-subsets",
-        type=int,
-        default=subtrees.DEFAULT_MAX_SUBSETS,
-        help="cap on enumerated connected edge subsets",
-    )
-
+    common = {
+        "--tol": dict(
+            type=float,
+            default=spectra.DEFAULT_SET_TOL,
+            help="set membership / dedup tolerance (default 1e-8)",
+        ),
+        "--root-tol": dict(
+            type=float,
+            default=spectra.DEFAULT_ROOT_TOL,
+            help="polynomial root residual target (default 1e-12)",
+        ),
+        "--seed": dict(
+            type=int,
+            default=spectra.DEFAULT_SEED,
+            help="PRNG seed for root-finder starts and random generation",
+        ),
+        "--format": dict(
+            choices=("text", "json"), default="text", help="output format"
+        ),
+        "--max-subsets": dict(
+            type=int,
+            default=subtrees.DEFAULT_MAX_SUBSETS,
+            help="cap on enumerated connected edge subsets",
+        ),
+    }
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="emit a generated hypertree")
+    def add_verb(verb, handler, desc):
+        p = sub.add_parser(verb, help=desc)
+        for flag in _VERB_FLAGS[verb].split():
+            spec = common[flag]
+            if flag == "--format" and verb == "spectrum":
+                spec = dict(spec, choices=("text", "json", "csv"))
+            p.add_argument(flag, **spec)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = add_verb("gen", _cmd_gen, "emit a generated hypertree")
     p.add_argument("spec", nargs="+", help=_GEN_USAGE)
-    p.set_defaults(handler=_cmd_gen)
 
     for verb, handler, desc in (
         ("matchpoly", _cmd_matchpoly, "matching polynomial (x form)"),
@@ -369,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("eigvec", _cmd_eigvec, "totally nonzero eigenvector"),
         ("roots-csv", _cmd_roots_csv, "spectrum as CSV scatter data"),
     ):
-        p = sub.add_parser(verb, parents=[common], help=desc)
+        p = add_verb(verb, handler, desc)
         p.add_argument("input", help="hypergraph JSON file, or - for stdin")
         if verb == "spectrum":
             p.add_argument(
@@ -396,14 +402,12 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=0,
                 help="which k-th root lift to use (0..k-1)",
             )
-        p.set_defaults(handler=handler)
 
-    p = sub.add_parser(
+    add_verb(
         "check-paper",
-        parents=[common],
-        help="validate built-in reference factorizations (H1, H2, H3)",
+        _cmd_check_paper,
+        "validate built-in reference factorizations (H1, H2, H3)",
     )
-    p.set_defaults(handler=_cmd_check_paper)
     return parser
 
 

@@ -157,6 +157,15 @@ def is_hyperforest(H: UniformHypergraph) -> bool:
     )
 
 
+def incident_edges(H: UniformHypergraph) -> list[list[int]]:
+    """Indices of the edges at each vertex, ascending (entry 0 is a dummy)."""
+    incident: list[list[int]] = [[] for _ in range(H.n + 1)]
+    for i, e in enumerate(H.edges):
+        for v in e:
+            incident[v].append(i)
+    return incident
+
+
 def edge_adjacency_masks(H: UniformHypergraph) -> list[int]:
     """Bitmask per edge of the other edges sharing a vertex with it."""
     at = [0] * (H.n + 1)

@@ -19,7 +19,12 @@ from typing import Iterable, Sequence
 
 from . import _ratpoly as _rp
 from . import kernels
-from .core import UniformHypergraph, edge_adjacency_masks, is_hyperforest
+from .core import (
+    UniformHypergraph,
+    edge_adjacency_masks,
+    incident_edges,
+    is_hyperforest,
+)
 from .errors import NotAHyperforest, TooManyEdgesForOracle, ValidationError
 
 DEFAULT_ORACLE_EDGE_LIMIT = 24
@@ -233,10 +238,7 @@ def matching_counts_tree(H: UniformHypergraph) -> MatchingCounts:
     """
     if not is_hyperforest(H):
         raise NotAHyperforest("matching_counts_tree requires a hyperforest")
-    incident: list[list[int]] = [[] for _ in range(H.n + 1)]
-    for i, e in enumerate(H.edges):
-        for v in e:
-            incident[v].append(i)
+    incident = incident_edges(H)
     up = [-1] * (H.n + 1)  # edge towards the root; -1 at roots
     order = []
     for root in range(1, H.n + 1):
@@ -300,35 +302,37 @@ def comb_formula(k: int) -> AlphaPolynomial:
 # -- exact real-root count (Sturm) ---------------------------------------------
 
 
-def count_distinct_real_roots(p: AlphaPolynomial) -> int:
-    """Number of distinct real roots, by a Sturm chain of primitive
+def _sturm_counts(p: AlphaPolynomial) -> tuple[int, int]:
+    """(distinct real roots, distinct roots) of p from one Sturm chain.
+
+    The chain starts p, p' and continues with negated primitive
     pseudo-remainders; each is a positive multiple of the rational one,
-    so the sign variations are those of the classical chain."""
+    so the sign variations are those of the classical chain.  Its last
+    entry g is gcd(p, p') up to a constant, and every entry is a
+    multiple of g: dividing the chain by g changes every sign at +-inf
+    alike, so the variations count the distinct real roots without
+    making p squarefree first, and p has deg p - deg g distinct roots.
+    """
     if p.degree < 1:
-        return 0
-    f = list(p.coeffs)
-    g = _rp.gcd(f, _rp.deriv(f))
-    if len(g) > 1:
-        f = _rp.div_exact(f, g)
-    chain = [f, _rp.deriv(f)]
+        return 0, 0
+    chain = [list(p.coeffs), _rp.deriv(p.coeffs)]
     while len(chain[-1]) > 1:
         rem = _rp.rem(chain[-2], chain[-1])
         if not rem:
             break
         chain.append([-c for c in rem])
 
-    def variations(at_plus_infinity: bool) -> int:
-        signs = []
-        for poly in chain:
-            if not poly:
-                continue
-            s = 1 if poly[-1] > 0 else -1
-            if not at_plus_infinity and (len(poly) - 1) % 2 == 1:
-                s = -s
-            signs.append(s)
+    def variations(signs: list[bool]) -> int:
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-    return variations(False) - variations(True)
+    at_plus = [f[-1] > 0 for f in chain]
+    at_minus = [pos != (len(f) % 2 == 0) for pos, f in zip(at_plus, chain)]
+    return variations(at_minus) - variations(at_plus), p.degree - len(chain[-1]) + 1
+
+
+def count_distinct_real_roots(p: AlphaPolynomial) -> int:
+    """Number of distinct real roots, by a Sturm chain (exact)."""
+    return _sturm_counts(p)[0]
 
 
 def count_real_comb_roots(k: int) -> int:

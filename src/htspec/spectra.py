@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _ratpoly as _rp
-from .core import UniformHypergraph, VertexSet, is_hypertree
+from .core import UniformHypergraph, VertexSet, incident_edges, is_hypertree
 from .errors import (
     DidNotConverge,
     DimensionMismatch,
@@ -34,8 +34,10 @@ from .errors import (
 )
 from .matching import (
     AlphaPolynomial,
+    _sturm_counts,
     alpha_poly,
     alpha_str,
+    count_distinct_real_roots,
     matching_polynomial,
 )
 from .subtrees import DEFAULT_MAX_SUBSETS, SubtreeCatalog, distinct_matching_polynomials
@@ -43,7 +45,6 @@ from .subtrees import DEFAULT_MAX_SUBSETS, SubtreeCatalog, distinct_matching_pol
 DEFAULT_SET_TOL = 1e-8
 DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_SEED = 24301
-_CLUSTER_TOL = 1e-8
 
 
 # -- squarefree decomposition (exact) ------------------------------------------
@@ -170,46 +171,30 @@ def _aberth(
     return z
 
 
-def _symmetrize_real_coeff_roots(roots: list[complex]) -> list[complex]:
-    """Snap near-real roots onto the axis and pair conjugates exactly."""
-    snapped = [
-        complex(z.real, 0.0) if abs(z.imag) <= 1e-9 * max(1.0, abs(z)) else z
-        for z in roots
-    ]
-    upper = [z for z in snapped if z.imag > 0]
-    lower = [z for z in snapped if z.imag < 0]
-    real = [z for z in snapped if z.imag == 0]
-    out = real[:]
-    used = [False] * len(lower)
+def _split_roots(roots: list[complex], n_real: int) -> list[complex]:
+    """Put the n_real roots nearest the real axis onto it and average
+    the rest into exact conjugate pairs, each upper root with the
+    nearest conjugate of a lower one.
+
+    n_real is the exact Sturm count of a squarefree real polynomial;
+    DidNotConverge when the other roots do not fall into as many upper
+    as lower half-plane roots.
+    """
+    nearest = sorted(roots, key=lambda z: abs(z.imag) / max(1.0, abs(z)))
+    out = [complex(z.real, 0.0) for z in nearest[:n_real]]
+    upper = [z for z in nearest[n_real:] if z.imag > 0]
+    lower = [z for z in nearest[n_real:] if z.imag < 0]
+    if len(upper) != len(lower) or 2 * len(upper) != len(roots) - n_real:
+        raise DidNotConverge(
+            f"degree {len(roots)} roots do not split into {n_real} real "
+            "roots and conjugate pairs"
+        )
     for z in upper:
-        best, best_d = -1, float("inf")
-        for j, w in enumerate(lower):
-            if used[j]:
-                continue
-            d = abs(z - w.conjugate())
-            if d < best_d:
-                best, best_d = j, d
-        if best >= 0 and best_d <= 1e-6 * max(1.0, abs(z)):
-            used[best] = True
-            mean = (z + lower[best].conjugate()) / 2
-            out.extend([mean, mean.conjugate()])
-        else:
-            out.append(z)
-    out.extend(w for j, w in enumerate(lower) if not used[j])
+        w = min(lower, key=lambda w: abs(z - w.conjugate()))
+        lower.remove(w)
+        mean = (z + w.conjugate()) / 2
+        out.extend([mean, mean.conjugate()])
     return out
-
-
-def _cluster(roots: list[complex], rel_tol: float) -> list[tuple[complex, int]]:
-    pending = sorted(roots, key=lambda z: (z.real, z.imag))
-    clusters: list[tuple[complex, int]] = []
-    for z in pending:
-        for idx, (w, count) in enumerate(clusters):
-            if abs(z - w) <= rel_tol * max(1.0, abs(z), abs(w)):
-                clusters[idx] = ((w * count + z) / (count + 1), count + 1)
-                break
-        else:
-            clusters.append((z, 1))
-    return clusters
 
 
 def alpha_roots(
@@ -220,10 +205,13 @@ def alpha_roots(
     """All alpha roots of p with multiplicities, sorted by (re, im).
 
     Multiple roots are separated exactly (squarefree decomposition over
-    the rationals) before refinement, so each numeric solve sees only
-    simple roots; the refinement target is
+    the integers) before refinement, so each numeric solve sees only
+    simple roots, and each factor's Sturm count says how many of them
+    are real: those come back with imaginary part exactly 0, the others
+    as exact conjugate pairs.  The refinement target is
     ``|p(r)| <= root_tol * max|coeff| * max(1, |r|)^deg``.  Raises
-    DidNotConverge when that target is missed or overflows floats.
+    DidNotConverge when that target is missed or overflows floats, or
+    when the refined roots cannot be split as the Sturm count says.
     """
     if p.degree < 0:
         raise ValidationError("the zero polynomial has no root set")
@@ -244,12 +232,9 @@ def alpha_roots(
 
     try:
         for factor, mult in squarefree_decomposition(reduced):
-            if factor.degree < 1:
-                continue
             roots = _aberth([float(c) for c in factor.coeffs], root_tol, rng)
-            roots = _symmetrize_real_coeff_roots(roots)
-            for z, times in _cluster(roots, _CLUSTER_TOL):
-                out.append((z, mult * times))
+            for z in _split_roots(roots, count_distinct_real_roots(factor)):
+                out.append((z, mult))
 
         for z, _ in out:
             bound = root_tol * maxc * max(1.0, abs(z)) ** p.degree
@@ -414,23 +399,20 @@ def spectral_radius(
 
 def is_cyclotomic_spectrum(
     H: UniformHypergraph,
-    tol: float = DEFAULT_SET_TOL,
-    root_tol: float = DEFAULT_ROOT_TOL,
-    seed: int = DEFAULT_SEED,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> bool:
-    """True iff every nonzero eigenvalue lambda has lambda^k real
-    (within ``tol`` relative), i.e. lies on a ray of argument pi*j/k.
+    """True iff every nonzero eigenvalue lambda has lambda^k real, i.e.
+    lies on a ray of argument pi*j/k.
 
     Equivalently, every cataloged subtree polynomial has only real alpha
-    roots.
+    roots; that is decided exactly, by comparing each polynomial's Sturm
+    count of distinct real roots with its number of distinct roots.
     """
-    spectrum = set_spectrum(H, tol, root_tol, seed, max_subsets)
-    for v in spectrum.nonzero_values():
-        w = v**H.k
-        if abs(w.imag) > tol * abs(v) ** H.k:
-            return False
-    return True
+    _require_spectrum_input(H)
+    catalog = distinct_matching_polynomials(H, max_subsets)
+    return all(
+        real == distinct for real, distinct in map(_sturm_counts, catalog.polys)
+    )
 
 
 # -- eigenpairs -----------------------------------------------------------------
@@ -472,10 +454,7 @@ def eigen_residual(
 def _orient(H: UniformHypergraph):
     """BFS orientation from vertex 1: each edge gets the parent vertex it
     was discovered through; vertices get their child edges."""
-    incident: list[list[int]] = [[] for _ in range(H.n + 1)]
-    for i, e in enumerate(H.edges):
-        for v in e:
-            incident[v].append(i)
+    incident = incident_edges(H)
     edge_parent = [0] * H.m
     child_edges: list[list[int]] = [[] for _ in range(H.n + 1)]
     seen_v = [False] * (H.n + 1)
@@ -564,10 +543,7 @@ def _newton_eigenvector(
 ) -> list[complex] | None:
     """Damped Newton on the full eigen-system with x_1 = 1 pinned."""
     n, k = H.n, H.k
-    incident: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, e in enumerate(H.edges):
-        for v in e:
-            incident[v].append(i)
+    incident = incident_edges(H)
 
     def equations(x: np.ndarray) -> np.ndarray:
         out = np.zeros(n, dtype=complex)

@@ -31,6 +31,12 @@ class Budget:
         return False
 
 
+def upper_half_plane_roots(coeffs, root_tol, rng) -> list[complex]:
+    """Stand-in for the root refiner whose roots all lie above the real
+    axis, so they contradict any Sturm count below the degree."""
+    return [complex(j, 1) for j in range(len(coeffs) - 1)]
+
+
 def random_nonpower_hypertree(
     total_edges: int, k: int, rng: random.Random
 ) -> UniformHypergraph:

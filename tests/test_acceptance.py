@@ -109,7 +109,7 @@ def test_criterion_4_comb_closed_form_and_real_root_counts():
 
 def test_criterion_5_power_tree_dual_recognition():
     """Structural and spectral power-tree tests agree on 50 random power
-    trees and 50 random forced non-power hypertrees (tol 1e-8)."""
+    trees and 50 random forced non-power hypertrees."""
     rng = random.Random(5150)
     with Budget("criterion 5: dual power-tree recognition", 60.0):
         agreements = 0
@@ -118,7 +118,7 @@ def test_criterion_5_power_tree_dual_recognition():
             T = random_hypertree(rng.randint(1, 8), 2, rng)
             H = power(T, k)
             structural = is_power_tree(H)
-            spectral = is_cyclotomic_spectrum(H, tol=SET_TOL)
+            spectral = is_cyclotomic_spectrum(H)
             assert structural is True
             assert structural == spectral
             agreements += 1
@@ -126,7 +126,7 @@ def test_criterion_5_power_tree_dual_recognition():
             k = (3, 4, 5)[i % 3]
             H = helpers.random_nonpower_hypertree(rng.randint(4, 8), k, rng)
             structural = is_power_tree(H)
-            spectral = is_cyclotomic_spectrum(H, tol=SET_TOL)
+            spectral = is_cyclotomic_spectrum(H)
             assert structural is False
             assert structural == spectral
             agreements += 1

@@ -1,9 +1,11 @@
 """CLI behavior: verbs, formats, determinism, exit codes."""
 
 import json
+import re
 
 import pytest
 
+import helpers
 from htspec import core
 from htspec.cli import main
 
@@ -82,6 +84,19 @@ def test_radius_float_overflow_exits_3(capsys, tmp_path):
     assert out == "" and err.startswith("error:") and "degree 50" in err
 
 
+def test_radius_exits_3_when_roots_contradict_the_sturm_count(
+    capsys, tmp_path, monkeypatch
+):
+    from htspec import spectra
+
+    monkeypatch.setattr(spectra, "_aberth", helpers.upper_half_plane_roots)
+    path = tmp_path / "h1.json"
+    path.write_text(core.dumps(core.comb(3)))
+    code, out, err = run(capsys, "radius", str(path))
+    assert code == 3
+    assert out == "" and "conjugate pairs" in err
+
+
 def test_ispower_reports_agreement(capsys, tmp_path):
     path = tmp_path / "h1.json"
     path.write_text(core.dumps(core.comb(3)))
@@ -90,6 +105,13 @@ def test_ispower_reports_agreement(capsys, tmp_path):
     assert blob == {
         "structural_power_tree": False,
         "cyclotomic_spectrum": False,
+        "agreement": True,
+    }
+    path.write_text(core.dumps(core.loose_path(30, 3)))
+    code, out, _ = run(capsys, "ispower", str(path), "--format", "json")
+    assert json.loads(out) == {
+        "structural_power_tree": True,
+        "cyclotomic_spectrum": True,
         "agreement": True,
     }
 
@@ -246,3 +268,41 @@ def test_cycle_input_exits_2(capsys, tmp_path):
     assert code == 2 and "hyperforest" in err
     code, _, err = run(capsys, "spectrum", str(path))
     assert code == 2
+
+
+COMMON_FLAGS = {"--tol", "--root-tol", "--seed", "--format", "--max-subsets"}
+NUMERIC = {"--tol", "--root-tol", "--seed"}
+VERB_FLAGS = {
+    "gen": {"--seed"},
+    "matchpoly": {"--format"},
+    "subtrees": {"--format", "--max-subsets"},
+    "spectrum": COMMON_FLAGS,
+    "roots-csv": NUMERIC | {"--max-subsets"},
+    "radius": {"--root-tol", "--seed", "--format"},
+    "ispower": {"--format", "--max-subsets"},
+    "cyclotomic": {"--format", "--max-subsets"},
+    "eigvec": NUMERIC | {"--format"},
+    "check-paper": NUMERIC | {"--format"},
+}
+
+
+def test_verbs_take_only_the_common_flags_they_read(capsys, tmp_path):
+    path = write_h3(tmp_path)
+    head = {"gen": ["gen", "comb", "3"], "check-paper": ["check-paper"]}
+    for verb, flags in VERB_FLAGS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z-]+", help_text)) & COMMON_FLAGS == flags
+        assert ("csv}" in help_text) == (verb == "spectrum"), verb
+        for flag in COMMON_FLAGS - flags:
+            with pytest.raises(SystemExit) as exc:
+                main(head.get(verb, [verb, path]) + [flag, "json"])
+            assert exc.value.code == 2, (verb, flag)
+            assert "unrecognized arguments" in capsys.readouterr().err
+        if "--format" in flags and verb != "spectrum":
+            with pytest.raises(SystemExit) as exc:
+                main(head.get(verb, [verb, path]) + ["--format", "csv"])
+            assert exc.value.code == 2
+            capsys.readouterr()

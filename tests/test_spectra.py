@@ -78,6 +78,27 @@ def test_alpha_roots_resolves_multiplicity():
     assert alpha_roots(p5) == [((-1 + 0j), 2), ((1 + 0j), 3)]
 
 
+def test_alpha_roots_puts_close_real_roots_on_the_axis():
+    # a^3 - 2(1000a - 1)^2 has three distinct real roots, two of them
+    # about 4.5e-8 apart near 1e-3; refinement alone meets its residual
+    # target there with a conjugate pair
+    roots = alpha_roots(alpha_poly([-2, 4000, -2000000, 1]))
+    assert [m for _, m in roots] == [1, 1, 1]
+    assert all(z.imag == 0 for z, _ in roots)
+    assert len({z for z, _ in roots}) == 3
+
+
+def test_roots_that_contradict_the_sturm_count_raise(monkeypatch):
+    from htspec import spectra
+    from htspec.errors import DidNotConverge
+
+    # comb_formula(3) has one real root; three upper half-plane roots
+    # leave two that cannot pair as conjugates
+    monkeypatch.setattr(spectra, "_aberth", helpers.upper_half_plane_roots)
+    with pytest.raises(DidNotConverge, match="conjugate pairs"):
+        alpha_roots(comb_formula(3))
+
+
 def test_alpha_roots_zero_roots_and_validation():
     p = alpha_poly([0, 0, -1, 1])  # a^2 (a - 1)
     assert alpha_roots(p) == [(0j, 2), ((1 + 0j), 1)]
@@ -205,12 +226,17 @@ def test_cyclotomic_verdicts():
     assert is_cyclotomic_spectrum(hypergraph("H2"))
     assert not is_cyclotomic_spectrum(hypergraph("H1"))
     assert is_cyclotomic_spectrum(build(3, 3, [[1, 2, 3]]))
+    # long loose paths are power trees; float root refinement alone
+    # leaves some of their real alpha roots off the axis
+    for t in (30, 40, 60):
+        for k in (3, 4):
+            assert is_cyclotomic_spectrum(loose_path(t, k))
 
 
 def test_spider_power_with_double_root_stays_cyclotomic():
     # the equal-leg spider has matching polynomial (a-1)^2 (a-4); its
-    # double root must come out exactly real or the cyclotomic test at
-    # 1e-8 would misclassify this power tree
+    # double root must come out exactly real, and the exact cyclotomic
+    # test must count it once, not misclassify this power tree
     spider = build(2, 7, [[1, 2], [2, 3], [1, 4], [4, 5], [1, 6], [6, 7]])
     phi = matching_polynomial(spider)
     assert phi.coeffs == (-4, 9, -6, 1)

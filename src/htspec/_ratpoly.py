@@ -46,8 +46,7 @@ def divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
 
     The caller guarantees that every quotient coefficient is an integer:
     b is monic, b is primitive and divides a, or a was pre-scaled as in
-    ``rem``.  Skipping the division for a unit lead keeps the monic
-    divisions of very large coefficients as cheap as plain subtraction.
+    ``rem``.
     """
     r = list(a)
     db, lead = len(b) - 1, b[-1]
@@ -55,8 +54,7 @@ def divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
     for top in range(len(r) - 1, db - 1, -1):
         c = r[top]
         if c:
-            if lead != 1:
-                c //= lead
+            c //= lead
             q[top - db] = c
             shift = top - db
             for j, bc in enumerate(b):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -301,6 +302,19 @@ def _cmd_check_paper(args) -> int:
     return 0 if ok_all else 2
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol and --root-tol: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text!r}"
+        )
+    return value
+
+
 # The common flags each verb reads; any other common flag exits 2.  Only
 # spectrum prints CSV, so only its --format offers csv.
 _VERB_FLAGS = {
@@ -327,12 +341,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = {
         "--tol": dict(
-            type=float,
+            type=_tolerance,
             default=spectra.DEFAULT_SET_TOL,
             help="set membership / dedup tolerance (default 1e-8)",
         ),
         "--root-tol": dict(
-            type=float,
+            type=_tolerance,
             default=spectra.DEFAULT_ROOT_TOL,
             help="polynomial root residual target (default 1e-12)",
         ),

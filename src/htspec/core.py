@@ -86,7 +86,8 @@ def build(
 
     Raises:
         NonUniformEdge: an edge has a number of distinct vertices != k.
-        VertexOutOfRange: a vertex label lies outside 1..n.
+        VertexOutOfRange: a vertex label is not an integer (bools are
+            not) or lies outside 1..n.
         DuplicateEdge: two edges coincide as sets.
     """
     if k < 2:
@@ -95,14 +96,18 @@ def build(
         raise ValidationError(f"vertex count n must be >= 1, got {n}")
     canon: list[tuple[int, ...]] = []
     for e in edges:
+        e = tuple(e)
+        for v in e:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise VertexOutOfRange(f"vertex label {v!r} is not an integer")
         distinct = set(e)
-        if len(distinct) != k or len(tuple(e)) != k:
+        if len(distinct) != k or len(e) != k:
             raise NonUniformEdge(
                 f"edge {sorted(distinct)} has {len(distinct)} distinct "
                 f"vertices, expected {k}"
             )
         for v in distinct:
-            if not isinstance(v, int) or v < 1 or v > n:
+            if v < 1 or v > n:
                 raise VertexOutOfRange(f"vertex {v} outside 1..{n}")
         canon.append(tuple(sorted(distinct)))
     canon.sort()
@@ -348,7 +353,7 @@ def from_json_dict(obj: object) -> UniformHypergraph:
         k, n, edges = obj["k"], obj["n"], obj["edges"]
     except KeyError as missing:
         raise ValidationError(f"hypergraph JSON missing key {missing}") from None
-    if not isinstance(k, int) or not isinstance(n, int):
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (k, n)):
         raise ValidationError("hypergraph JSON: k and n must be integers")
     if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise ValidationError("hypergraph JSON: edges must be a list of lists")

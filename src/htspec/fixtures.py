@@ -5,9 +5,9 @@ cross-validation probes run by ``htspec check-paper``.
 H1 is the 3-comb on 9 vertices, H2 a 9-vertex power tree, and H3 the
 11-vertex hypertree obtained by overlaying the two.  Each factorization
 is stored as an x-power prefactor plus (alpha-form base, multiplicity)
-pairs; nothing is expanded at rest, since the expanded H3 polynomial has
-x-degree 11264.  The factored data is exactly what the divisibility and
-spectrum probes validate the library against.
+pairs, and nothing is ever expanded: the H3 product has x-degree 11264.
+The factored data is exactly what the divisibility and spectrum probes
+validate the library against.
 """
 
 from __future__ import annotations
@@ -15,18 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import _ratpoly as _rp
 from .core import UniformHypergraph, build, comb
-from .errors import MismatchReport, UnknownFixture
-from .matching import (
-    AlphaPolynomial,
-    ONE,
-    alpha_poly,
-    alpha_str,
-    poly_divmod,
-    poly_mul,
-    poly_pow,
-    x_str,
-)
+from .errors import MismatchReport, UnknownFixture, ValidationError
+from .matching import AlphaPolynomial, alpha_poly, alpha_str, x_str
 from .spectra import (
     DEFAULT_ROOT_TOL,
     DEFAULT_SEED,
@@ -59,12 +51,39 @@ class CharPolyFactorization:
             self.k * base.degree * mult for base, mult in self.factors
         )
 
-    def expanded_nonzero_part(self) -> AlphaPolynomial:
-        """Product of the bases with multiplicity, in alpha (x^power left out)."""
-        acc = ONE
-        for base, mult in self.factors:
-            acc = poly_mul(acc, poly_pow(base, mult))
-        return acc
+    def multiplicity(self, phi: AlphaPolynomial) -> int:
+        """How many times phi divides the product of the bases with
+        multiplicity (x^power left out); the product is never formed.
+
+        Each round divides one copy of phi out of the product.  It walks
+        the [base, copies] entries and, one copy at a time, moves
+        g = gcd(q, base) from the base into the divisor: q becomes q / g
+        and base / g stays behind as a new one-copy entry.  What is left
+        of phi always divides what is left of the product, and base / g
+        is coprime to q / g, so a round that ends with q non-constant
+        proves that phi divides no further.  Every gcd is primitive, so
+        every quotient is integral (Gauss's lemma).
+        """
+        if phi.degree < 1:
+            raise ValidationError("multiplicity needs a non-constant divisor")
+        entries = [[list(base.coeffs), mult] for base, mult in self.factors]
+        count = 0
+        while True:
+            q = list(phi.coeffs)
+            for entry in entries:
+                base = entry[0]
+                while len(q) > 1 and entry[1]:
+                    g = _rp.gcd(q, base)
+                    if len(g) == 1:
+                        break
+                    q = _rp.div_exact(q, g)
+                    entry[1] -= 1
+                    rest = _rp.div_exact(base, g)
+                    if len(rest) > 1:
+                        entries.append([rest, 1])
+            if len(q) > 1:
+                return count
+            count += 1
 
 
 _FIXTURES = {
@@ -239,34 +258,20 @@ class DivisibilityReport:
         return all(row.divides for row in self.rows)
 
 
-@lru_cache(maxsize=None)
-def _expanded(name: str) -> AlphaPolynomial:
-    return fixture(name).expanded_nonzero_part()
-
-
 def divisibility_probe(name: str) -> DivisibilityReport:
-    """Exact division of the fully expanded characteristic polynomial by
-    every cataloged subtree matching polynomial.
+    """Multiplicity of every cataloged subtree matching polynomial in the
+    fixture's characteristic polynomial.
 
     The x^power prefactor is coprime to every divisor (subtree
     polynomials have nonzero constant term), so divisibility in x is
-    decided by dividing the expanded alpha-form product.  Failures are
-    reported per row, never raised; observed multiplicities are how many
-    exact divisions succeed in a row.
+    decided on the factored alpha-form product by
+    ``CharPolyFactorization.multiplicity``.  Failures are reported per
+    row, never raised.
     """
     f = fixture(name)
-    H = hypergraph(name)
-    expanded = _expanded(name)
     rows = []
-    for phi in distinct_matching_polynomials(H).polys:
-        mult = 0
-        current = expanded
-        while current.degree >= phi.degree:
-            quotient, remainder = poly_divmod(current, phi)
-            if remainder.degree >= 0:
-                break
-            mult += 1
-            current = quotient
+    for phi in distinct_matching_polynomials(hypergraph(name)).polys:
+        mult = f.multiplicity(phi)
         rows.append(
             DivisibilityRow(
                 poly_x=x_str(phi, f.k),

@@ -69,9 +69,6 @@ class AlphaPolynomial:
             acc = acc * z + c
         return acc
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
 
 def alpha_poly(coeffs: Iterable[int]) -> AlphaPolynomial:
     """Normalize a little-endian coefficient sequence."""
@@ -127,14 +124,6 @@ def poly_pow(p: AlphaPolynomial, e: int) -> AlphaPolynomial:
         base = poly_mul(base, base)
         e >>= 1
     return acc
-
-
-def poly_divmod(p: AlphaPolynomial, q: AlphaPolynomial):
-    """Exact division over the integers; q must be monic."""
-    if not q.is_monic():
-        raise ValidationError("divisor must be monic")
-    quo, rem = _rp.divide(p.coeffs, q.coeffs)
-    return AlphaPolynomial(tuple(quo)), AlphaPolynomial(tuple(rem))
 
 
 def expand_to_x(p: AlphaPolynomial, k: int) -> dict[int, int]:

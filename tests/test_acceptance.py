@@ -179,8 +179,8 @@ def test_criterion_7_eigenpair_witnesses_on_h3():
 
 
 def test_criterion_8_divisibility_and_degree_checks():
-    """Exact sparse division: every cataloged subtree polynomial divides
-    the expanded characteristic polynomial; degree checks pass."""
+    """Exact divisibility: every cataloged subtree polynomial divides the
+    factored characteristic polynomial; degree checks pass."""
     with Budget("criterion 8: divisibility probe + degree checks", 120.0):
         totals = {"H1": 2304, "H2": 2304, "H3": 11264}
         for name in FIXTURE_NAMES:

@@ -252,6 +252,38 @@ def test_validation_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "generator" in err
 
 
+def test_malformed_vertex_labels_exit_2(capsys, monkeypatch):
+    import io
+    import sys
+
+    for label in ("[1]", '{"a": 1}', "true"):
+        blob = '{"k": 3, "n": 3, "edges": [[%s, 2, 3]]}' % label
+        monkeypatch.setattr(sys, "stdin", io.StringIO(blob))
+        code, _, err = run(capsys, "matchpoly", "-")
+        assert code == 2 and "is not an integer" in err, label
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"k": 3, "n": true, "edges": []}'))
+    code, _, err = run(capsys, "matchpoly", "-")
+    assert code == 2 and "k and n must be integers" in err
+
+
+def test_tolerances_must_be_finite_and_positive(capsys, tmp_path):
+    path = write_h3(tmp_path)
+    for verb, flag in (
+        ("spectrum", "--tol"),
+        ("spectrum", "--root-tol"),
+        ("radius", "--root-tol"),
+        ("check-paper", "--tol"),
+        ("check-paper", "--root-tol"),
+    ):
+        head = [verb] if verb == "check-paper" else [verb, path]
+        for value in ("-1", "0", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                main(head + [flag, value])
+            assert exc.value.code == 2, (verb, flag, value)
+            err = capsys.readouterr().err
+            assert f"argument {flag}: expected a finite number > 0" in err
+
+
 def test_long_path_has_no_recursion_limit(capsys, tmp_path):
     path = tmp_path / "p1500.json"
     path.write_text(core.dumps(core.loose_path(1500, 3)))

@@ -1,11 +1,15 @@
 """Built-in reference factorizations and the validation probes."""
 
+import random
+
 import pytest
 
-from htspec import alpha_poly, alpha_roots, is_hypertree, is_power_tree
-from htspec.errors import MismatchReport, UnknownFixture
+from htspec import _ratpoly, alpha_poly, is_hypertree, is_power_tree, poly_mul
+from htspec.matching import poly_pow
+from htspec.errors import MismatchReport, UnknownFixture, ValidationError
 from htspec.fixtures import (
     FIXTURE_NAMES,
+    CharPolyFactorization,
     degree_check,
     divisibility_probe,
     fixture,
@@ -51,14 +55,10 @@ def test_fixture_hypergraphs_are_hypertrees():
 
 def test_factor_bases_pairwise_coprime():
     for name in FIXTURE_NAMES:
-        roots = []
-        for base, _ in fixture(name).factors:
-            roots.append([z for z, _ in alpha_roots(base)])
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                for a in roots[i]:
-                    for b in roots[j]:
-                        assert abs(a - b) > 1e-8
+        bases = [base.coeffs for base, _ in fixture(name).factors]
+        for i in range(len(bases)):
+            for j in range(i + 1, len(bases)):
+                assert _ratpoly.gcd(bases[i], bases[j]) == [1], (name, i, j)
 
 
 def test_spectrum_crosscheck_passes():
@@ -68,7 +68,8 @@ def test_spectrum_crosscheck_passes():
         assert report.bases == report.catalog_polys
 
 
-def test_crosscheck_raises_on_tampered_data(monkeypatch):
+def tamper_h1(monkeypatch):
+    """Replace H1 by its factorization with the last base dropped."""
     import htspec.fixtures as fx
 
     bad = fx.CharPolyFactorization(
@@ -79,9 +80,80 @@ def test_crosscheck_raises_on_tampered_data(monkeypatch):
         factors=fixture("H1").factors[:-1],  # drop a base
     )
     monkeypatch.setitem(fx._FIXTURES, "H1", bad)
+
+
+def test_crosscheck_raises_on_tampered_data(monkeypatch):
+    tamper_h1(monkeypatch)
     with pytest.raises(MismatchReport) as info:
         spectrum_crosscheck("H1")
     assert info.value.expected is not None and info.value.got is not None
+
+
+def test_divisibility_probe_reports_a_dropped_base(monkeypatch):
+    tamper_h1(monkeypatch)
+    report = divisibility_probe("H1")
+    assert not report.all_divide()
+    observed = {
+        row.poly_x: (row.divides, row.observed_multiplicity)
+        for row in report.rows
+    }
+    assert observed == {
+        "x^3 - 1": (False, 0),
+        "x^3 - 2": (True, 27),
+        "x^6 - 3x^3 + 1": (True, 81),
+        "x^9 - 4x^6 + 3x^3 - 1": (True, 81),
+    }
+
+
+def test_multiplicity_by_hand():
+    # (α-1)^5 (α-2)^3, stored with a shared and a repeated factor
+    a1, a2 = alpha_poly([-1, 1]), alpha_poly([-2, 1])
+    f = CharPolyFactorization(
+        name="T", k=3, n=1, x_power=0, factors=((poly_mul(a1, a2), 3), (a1, 2))
+    )
+    assert f.multiplicity(poly_mul(a1, a1)) == 2
+    assert f.multiplicity(poly_mul(a1, a2)) == 3
+    assert f.multiplicity(poly_mul(a2, a2)) == 1
+    assert f.multiplicity(alpha_poly([-3, 1])) == 0
+    with pytest.raises(ValidationError):
+        f.multiplicity(alpha_poly([1]))
+    # one copy of (α-1)^3 (α-2): what a round leaves of a base is reused
+    g = CharPolyFactorization(
+        name="T", k=3, n=1, x_power=0, factors=((poly_mul(poly_pow(a1, 3), a2), 1),)
+    )
+    assert g.multiplicity(a1) == 3
+    assert g.multiplicity(poly_mul(a1, a1)) == 1
+    assert g.multiplicity(poly_mul(a1, a2)) == 1
+
+
+def test_multiplicity_matches_expand_and_divide():
+    rng = random.Random(7)
+    pool = [
+        alpha_poly(c)
+        for c in ([-1, 1], [1, 1], [-2, 1], [0, 1], [2, 0, 1], [-2, 0, 1], [1, -3, 1])
+    ]
+
+    def product(parts):
+        p = alpha_poly([1])
+        for part in parts:
+            p = poly_mul(p, part)
+        return p
+
+    for _ in range(60):
+        factors = tuple(
+            (product(rng.sample(pool, rng.randint(1, 3))), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 3))
+        )
+        phi = product(rng.choices(pool, k=rng.randint(1, 2)))
+        expanded = product(poly_pow(base, mult) for base, mult in factors)
+        expected, rest = 0, list(expanded.coeffs)
+        while True:
+            quotient, remainder = _ratpoly.divide(rest, phi.coeffs)
+            if remainder:
+                break
+            expected, rest = expected + 1, quotient
+        f = CharPolyFactorization(name="T", k=3, n=1, x_power=0, factors=factors)
+        assert f.multiplicity(phi) == expected, (factors, phi)
 
 
 def test_divisibility_probe_h1():

@@ -33,7 +33,6 @@ from htspec.fixtures import hypergraph
 from htspec.matching import (
     MatchingCounts,
     count_distinct_real_roots,
-    poly_divmod,
     poly_from_json,
     poly_pow,
     poly_to_json,
@@ -257,16 +256,6 @@ def test_sturm_on_known_polynomials():
         for part in parts:
             p = poly_mul(p, part)
         assert count_distinct_real_roots(p) == expected
-
-
-def test_poly_divmod_exact():
-    h3 = alpha_poly([-2, 5, -5, 1])
-    q, r = poly_divmod(poly_mul(h3, alpha_poly([-1, 1])), h3)
-    assert q == alpha_poly([-1, 1]) and r.coeffs == ()
-    q, r = poly_divmod(alpha_poly([1, 1]), alpha_poly([-1, 1]))
-    assert r.coeffs == (2,)
-    with pytest.raises(ValidationError):
-        poly_divmod(alpha_poly([1, 1]), alpha_poly([1, 2]))
 
 
 def test_matching_counts_validation():

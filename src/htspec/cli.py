@@ -12,6 +12,7 @@ violated invariant), 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -155,7 +156,7 @@ def _cmd_roots_csv(args) -> int:
 
 def _cmd_radius(args) -> int:
     H = _read_hypergraph(args.input)
-    rho = spectra.spectral_radius(H, root_tol=args.root_tol, seed=args.seed)
+    rho = spectra.spectral_radius(H)
     if args.format == "json":
         print(json.dumps({"spectral_radius": rho}))
     else:
@@ -205,26 +206,18 @@ def _cmd_eigvec(args) -> int:
             raise ValidationError(
                 "--lam expects 're,im', e.g. --lam '1.2599,0'"
             ) from None
+    elif args.branch < 0 or args.branch >= H.k:
+        raise ValidationError(f"--branch must be in 0..{H.k - 1}")
+    elif args.alpha_index is None:
+        rho = spectra.spectral_radius(H)
+        lam = rho * cmath.exp(1j * (2 * cmath.pi * args.branch) / H.k)
     else:
         phi = matching.matching_polynomial(H)
         roots = spectra.alpha_roots(phi, args.root_tol, args.seed)
         idx = args.alpha_index
-        if idx is None:
-            reals = [i for i, (z, _) in enumerate(roots) if z.imag == 0.0]
-            if not reals:
-                raise ValidationError(
-                    "no real alpha root; pick one with --alpha-index"
-                )
-            idx = max(reals, key=lambda i: roots[i][0].real)
         if idx < 0 or idx >= len(roots):
-            raise ValidationError(
-                f"--alpha-index {idx} outside 0..{len(roots) - 1}"
-            )
-        alpha = roots[idx][0]
-        branches = spectra.lift_to_x(alpha, H.k)
-        if args.branch < 0 or args.branch >= H.k:
-            raise ValidationError(f"--branch must be in 0..{H.k - 1}")
-        lam = branches[args.branch]
+            raise ValidationError(f"--alpha-index {idx} outside 0..{len(roots) - 1}")
+        lam = spectra.lift_to_x(roots[idx][0], H.k)[args.branch]
     pair = spectra.find_totally_nonzero_eigenvector(
         H, lam, tol=args.tol, seed=args.seed
     )
@@ -302,6 +295,13 @@ def _cmd_check_paper(args) -> int:
     return 0 if ok_all else 2
 
 
+def _count(text: str) -> int:
+    """argparse type of --max-subsets: an integer >= 1."""
+    if text.isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def _tolerance(text: str) -> float:
     """argparse type of --tol and --root-tol: a finite float > 0."""
     try:
@@ -323,7 +323,7 @@ _VERB_FLAGS = {
     "subtrees": "--format --max-subsets",
     "spectrum": "--tol --root-tol --seed --format --max-subsets",
     "roots-csv": "--tol --root-tol --seed --max-subsets",
-    "radius": "--root-tol --seed --format",
+    "radius": "--format",
     "ispower": "--format --max-subsets",
     "cyclotomic": "--format --max-subsets",
     "eigvec": "--tol --root-tol --seed --format",
@@ -359,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=("text", "json"), default="text", help="output format"
         ),
         "--max-subsets": dict(
-            type=int,
+            type=_count,
             default=subtrees.DEFAULT_MAX_SUBSETS,
             help="cap on enumerated connected edge subsets",
         ),
@@ -401,14 +401,14 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--lam",
                 default=None,
-                help="eigenvalue as 're,im' (default: from --alpha-index)",
+                help="eigenvalue as 're,im' (default: the spectral radius)",
             )
             p.add_argument(
                 "--alpha-index",
                 type=int,
                 default=None,
                 help="index into the sorted alpha roots of the matching "
-                "polynomial (default: largest real root)",
+                "polynomial",
             )
             p.add_argument(
                 "--branch",

@@ -72,9 +72,6 @@ class UniformHypergraph:
                 deg[v] += 1
         return deg
 
-    def edge_vertex_set(self, i: int) -> frozenset[int]:
-        return frozenset(self.edges[i])
-
 
 def build(
     k: int,
@@ -169,6 +166,32 @@ def incident_edges(H: UniformHypergraph) -> list[list[int]]:
         for v in e:
             incident[v].append(i)
     return incident
+
+
+def rooted_orientation(H: UniformHypergraph) -> tuple[list[int], list[int]]:
+    """(up, order) with each component of a hyperforest rooted at its
+    smallest vertex: up[v] is the edge from v towards its root (-1 at
+    roots; entry 0 is a dummy), and order lists every vertex after its
+    parent, depth first without recursion.  The child edges of v are
+    incident_edges(H)[v] without up[v], in that order.
+    """
+    incident = incident_edges(H)
+    up = [-1] * (H.n + 1)
+    order: list[int] = []
+    for root in range(1, H.n + 1):
+        if up[root] >= 0:  # reached from an earlier root
+            continue
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for i in incident[v]:
+                if i != up[v]:
+                    for c in H.edges[i]:
+                        if c != v:
+                            up[c] = i
+                            stack.append(c)
+    return up, order
 
 
 def edge_adjacency_masks(H: UniformHypergraph) -> list[int]:

@@ -23,8 +23,7 @@ from .spectra import (
     DEFAULT_ROOT_TOL,
     DEFAULT_SEED,
     DEFAULT_SET_TOL,
-    alpha_roots,
-    lift_to_x,
+    _distinct_lifts,
     set_spectrum,
 )
 from .subtrees import distinct_matching_polynomials
@@ -206,12 +205,8 @@ def spectrum_crosscheck(
             got=[alpha_str(p) for p in catalog.polys],
         )
     spectrum = set_spectrum(H, tol, root_tol, seed, catalog=catalog)
-    fixture_roots: list[complex] = []
-    for base, _ in f.factors:
-        for a, _mult in alpha_roots(base, root_tol, seed):
-            for lam in lift_to_x(a, f.k):
-                if not any(abs(lam - w) <= tol for w in fixture_roots):
-                    fixture_roots.append(lam)
+    kept = _distinct_lifts((b for b, _ in f.factors), f.k, tol, root_tol, seed, [])
+    fixture_roots = [lam for lam, _ in kept]
     computed = list(spectrum.nonzero_values())
     worst = 0.0
     if len(fixture_roots) != len(computed):

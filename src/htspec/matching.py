@@ -24,6 +24,7 @@ from .core import (
     edge_adjacency_masks,
     incident_edges,
     is_hyperforest,
+    rooted_orientation,
 )
 from .errors import NotAHyperforest, TooManyEdgesForOracle, ValidationError
 
@@ -220,29 +221,15 @@ def matching_counts_tree(H: UniformHypergraph) -> MatchingCounts:
         B_v <- B_v * prod A_c
 
     and the forest's counts are the product of the roots' A.  Vertices
-    are visited in reverse depth-first order from an explicit stack,
-    so there is no recursion.  Merging two parts costs the product of
-    their list lengths, so the total is O(m^2) coefficient operations
-    at most, reached on long loose paths.
+    are visited in reverse ``rooted_orientation`` order, so there is no
+    recursion.  Merging two parts costs the product of their list
+    lengths, so the total is O(m^2) coefficient operations at most,
+    reached on long loose paths.
     """
     if not is_hyperforest(H):
         raise NotAHyperforest("matching_counts_tree requires a hyperforest")
     incident = incident_edges(H)
-    up = [-1] * (H.n + 1)  # edge towards the root; -1 at roots
-    order = []
-    for root in range(1, H.n + 1):
-        if up[root] >= 0:  # reached from an earlier root
-            continue
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for i in incident[v]:
-                if i != up[v]:
-                    for c in H.edges[i]:
-                        if c != v:
-                            up[c] = i
-                            stack.append(c)
+    up, order = rooted_orientation(H)
     A: list = [None] * (H.n + 1)
     B: list = [None] * (H.n + 1)
     total = [1]

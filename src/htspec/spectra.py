@@ -16,14 +16,16 @@ the normalization under which a single k-edge has eigenvalue 1.
 from __future__ import annotations
 
 import cmath
+import math
 import random
-from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import _ratpoly as _rp
 from .core import UniformHypergraph, VertexSet, incident_edges, is_hypertree
+from .core import rooted_orientation
 from .errors import (
     DidNotConverge,
     DimensionMismatch,
@@ -38,7 +40,6 @@ from .matching import (
     alpha_poly,
     alpha_str,
     count_distinct_real_roots,
-    matching_polynomial,
 )
 from .subtrees import DEFAULT_MAX_SUBSETS, SubtreeCatalog, distinct_matching_polynomials
 
@@ -219,12 +220,8 @@ def alpha_roots(
         return []
     rng = random.Random(seed)
     # alpha = 0 roots come straight off the trailing zero coefficients
-    zero_mult = 0
-    cs = list(p.coeffs)
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        zero_mult += 1
-    reduced = alpha_poly(cs)
+    zero_mult = next(i for i, c in enumerate(p.coeffs) if c)
+    reduced = alpha_poly(p.coeffs[zero_mult:])
     out: list[tuple[complex, int]] = []
     if zero_mult:
         out.append((0j, zero_mult))
@@ -340,6 +337,19 @@ def _require_spectrum_input(H: UniformHypergraph) -> None:
         raise NotAHypertree("spectrum operations require a hypertree")
 
 
+def _distinct_lifts(polys, k, tol, root_tol, seed, kept):
+    """Append to kept, in order, each k-th root lift of each alpha root
+    of each of polys that lies farther than tol from every value kept
+    before it (the first accepted wins), with its source; return kept.
+    """
+    for poly in polys:
+        for a, _mult in alpha_roots(poly, root_tol, seed):
+            for lam in lift_to_x(a, k):
+                if not any(abs(lam - v) <= tol for v, _ in kept):
+                    kept.append((lam, SpectrumSource(poly, a)))
+    return kept
+
+
 def set_spectrum(
     H: UniformHypergraph,
     tol: float = DEFAULT_SET_TOL,
@@ -357,44 +367,45 @@ def set_spectrum(
     _require_spectrum_input(H)
     if catalog is None:
         catalog = distinct_matching_polynomials(H, max_subsets)
-    accepted: list[complex] = [0j]
-    srcs: list[SpectrumSource | None] = [None]
-    for poly in catalog.polys:
-        for a, _mult in alpha_roots(poly, root_tol, seed):
-            for lam in lift_to_x(a, H.k):
-                if not any(abs(lam - v) <= tol for v in accepted):
-                    accepted.append(lam)
-                    srcs.append(SpectrumSource(poly, a))
-    order = sorted(
-        range(len(accepted)), key=lambda i: (accepted[i].real, accepted[i].imag)
-    )
+    kept = _distinct_lifts(catalog.polys, H.k, tol, root_tol, seed, [(0j, None)])
+    kept.sort(key=lambda item: (item[0].real, item[0].imag))
     return SpectrumSet(
-        values=tuple(accepted[i] for i in order),
+        values=tuple(v for v, _ in kept),
         tol=tol,
         k=H.k,
         root_tol=root_tol,
-        sources=tuple(srcs[i] for i in order),
+        sources=tuple(src for _, src in kept),
     )
 
 
-def spectral_radius(
-    H: UniformHypergraph,
-    root_tol: float = DEFAULT_ROOT_TOL,
-    seed: int = DEFAULT_SEED,
-) -> float:
-    """k-th root of the largest real alpha root of H's matching polynomial."""
+def spectral_radius(H: UniformHypergraph) -> float:
+    """rho(H) rounded to the nearest float; rho^k is the largest real
+    alpha root of H's matching polynomial.
+
+    Exact test: r > rho iff the leaf-to-root labels u of ``_labels``
+    at alpha = r^k, in Fractions, keep every 1 - u_c > 0 and end with
+    u_root < 1 (the alpha-normal labeling of Lu and Man, Linear Algebra
+    Appl. 509, 2016); O(mk) per test.  hi doubles from 1 until the test
+    holds, then lo <= rho < hi is bisected down to adjacent floats (width
+    1 ulp, at most rho * 2^-52); a test at their midpoint picks one.
+    """
     _require_spectrum_input(H)
     if H.m == 0:
         raise ValidationError("spectral radius needs at least one edge")
-    phi = matching_polynomial(H)
-    reals = [
-        z.real for z, _ in alpha_roots(phi, root_tol, seed) if z.imag == 0.0
-    ]
-    if not reals or max(reals) <= 0:
-        raise DidNotConverge(
-            "no positive real root found for the matching polynomial"
-        )
-    return max(reals) ** (1.0 / H.k)
+    incident = incident_edges(H)
+    up, order = rooted_orientation(H)
+
+    def above(r) -> bool:
+        u = _labels(H, incident, up, order, Fraction(r) ** H.k, lambda d: d <= 0)
+        return u is not None and u[order[0]] < 1
+
+    lo, hi = 0.0, 1.0
+    while not above(hi):
+        lo, hi = hi, 2 * hi
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return lo if above((Fraction(lo) + Fraction(hi)) / 2) else hi
 
 
 def is_cyclotomic_spectrum(
@@ -451,33 +462,29 @@ def eigen_residual(
     return worst
 
 
-def _orient(H: UniformHypergraph):
-    """BFS orientation from vertex 1: each edge gets the parent vertex it
-    was discovered through; vertices get their child edges."""
-    incident = incident_edges(H)
-    edge_parent = [0] * H.m
-    child_edges: list[list[int]] = [[] for _ in range(H.n + 1)]
-    seen_v = [False] * (H.n + 1)
-    seen_e = [False] * H.m
-    edge_order: list[int] = []
-    vertex_order: list[int] = [1]
-    seen_v[1] = True
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
+def _labels(H, incident, up, order, alpha, pole):
+    """Leaf-to-root labels u_v = (1/alpha) sum_{child e}
+    prod_{c in e, c != v} 1/(1 - u_c), or None as soon as pole(1 - u_c)
+    holds.  A child with u_c = 0 (a leaf) is skipped, which is exact.
+    """
+    u = [0] * (H.n + 1)
+    for v in reversed(order):
+        total = 0
         for i in incident[v]:
-            if seen_e[i]:
+            if i == up[v]:
                 continue
-            seen_e[i] = True
-            edge_parent[i] = v
-            child_edges[v].append(i)
-            edge_order.append(i)
-            for w in H.edges[i]:
-                if not seen_v[w]:
-                    seen_v[w] = True
-                    vertex_order.append(w)
-                    queue.append(w)
-    return edge_parent, child_edges, edge_order, vertex_order
+            prod = 1
+            for c in H.edges[i]:
+                if c == v or not u[c]:
+                    continue
+                d = 1 - u[c]
+                if pole(d):
+                    return None
+                prod /= d
+            total += prod
+        if total:
+            u[v] = total / alpha
+    return u
 
 
 def _leaf_to_root_eigenvector(
@@ -494,47 +501,35 @@ def _leaf_to_root_eigenvector(
     top-down from the y_e.
     """
     k = H.k
-    alpha = lam**k
-    edge_parent, child_edges, edge_order, vertex_order = _orient(H)
-    u = [0j] * (H.n + 1)
-    for v in reversed(vertex_order):
-        if not child_edges[v]:
-            continue
-        total = 0j
-        for i in child_edges[v]:
-            prod = 1 + 0j
-            for c in H.edges[i]:
-                if c == edge_parent[i]:
-                    continue
-                d = 1 - u[c]
-                if abs(d) < 1e-9:
-                    return None
-                prod /= d
-            total += prod
-        u[v] = total / alpha
+    incident = incident_edges(H)
+    up, order = rooted_orientation(H)
+    u = _labels(H, incident, up, order, lam**k, lambda d: abs(d) < 1e-9)
+    if u is None:
+        return None
     x: list[complex | None] = [None] * (H.n + 1)
-    x[1] = 1 + 0j
+    x[order[0]] = 1 + 0j
     lam_km1 = lam ** (k - 1)
-    for i in edge_order:
-        p = edge_parent[i]
-        children = [c for c in H.edges[i] if c != p]
-        denom = lam_km1
-        for c in children:
-            denom *= 1 - u[c]
-        if abs(denom) < 1e-14:
-            return None
-        y = x[p] ** k / denom
-        partial = x[p]
-        for c in children[:-1]:
-            val = y / (lam * (1 - u[c]))
-            if abs(val) < 1e-14:
+    for p in order:
+        for i in incident[p]:
+            if i == up[p]:
+                continue
+            children = [c for c in H.edges[i] if c != p]
+            denom = lam_km1
+            for c in children:
+                denom *= 1 - u[c]
+            if abs(denom) < 1e-14:
                 return None
-            xc = val ** (1.0 / k)
-            x[c] = xc
-            partial *= xc
-        if abs(partial) < 1e-14:
-            return None
-        x[children[-1]] = y / partial
+            y = x[p] ** k / denom
+            partial = x[p]
+            for c in children[:-1]:
+                val = y / (lam * (1 - u[c]))
+                if abs(val) < 1e-14:
+                    return None
+                x[c] = val ** (1.0 / k)
+                partial *= x[c]
+            if abs(partial) < 1e-14:
+                return None
+            x[children[-1]] = y / partial
     return [x[v] for v in range(1, H.n + 1)]
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: verbs, formats, determinism, exit codes."""
 
 import json
+import math
 import re
 
 import pytest
@@ -76,15 +77,15 @@ def test_radius(capsys, tmp_path):
     assert float(out) == pytest.approx(2 ** (1 / 3), abs=1e-12)
 
 
-def test_radius_float_overflow_exits_3(capsys, tmp_path):
+def test_alpha_index_float_overflow_exits_3(capsys, tmp_path):
     path = tmp_path / "p100.json"
     path.write_text(core.dumps(core.loose_path(100, 3)))
-    code, out, err = run(capsys, "radius", str(path))
+    code, out, err = run(capsys, "eigvec", str(path), "--alpha-index", "0")
     assert code == 3
     assert out == "" and err.startswith("error:") and "degree 50" in err
 
 
-def test_radius_exits_3_when_roots_contradict_the_sturm_count(
+def test_alpha_index_exits_3_when_roots_contradict_the_sturm_count(
     capsys, tmp_path, monkeypatch
 ):
     from htspec import spectra
@@ -92,9 +93,12 @@ def test_radius_exits_3_when_roots_contradict_the_sturm_count(
     monkeypatch.setattr(spectra, "_aberth", helpers.upper_half_plane_roots)
     path = tmp_path / "h1.json"
     path.write_text(core.dumps(core.comb(3)))
-    code, out, err = run(capsys, "radius", str(path))
+    code, out, err = run(capsys, "eigvec", str(path), "--alpha-index", "0")
     assert code == 3
     assert out == "" and "conjugate pairs" in err
+    # the radius never solves for roots
+    code, out, _ = run(capsys, "radius", str(path))
+    assert code == 0 and float(out) ** 3 == pytest.approx(3.14789904, abs=1e-8)
 
 
 def test_ispower_reports_agreement(capsys, tmp_path):
@@ -131,6 +135,14 @@ def test_eigvec_default_is_spectral_radius_vector(capsys, tmp_path):
     assert blob["lambda"]["re"] == pytest.approx(1.0, abs=1e-10)
     assert blob["residual"] <= 1e-10
     assert len(blob["x"]) == 3
+    # the 30-edge path: the largest real root is no longer lost
+    path.write_text(core.dumps(core.loose_path(30, 3)))
+    code, out, _ = run(capsys, "eigvec", str(path), "--format", "json")
+    assert code == 0
+    blob = json.loads(out)
+    rho = (4 * math.cos(math.pi / 32) ** 2) ** (1 / 3)
+    assert blob["lambda"]["re"] == pytest.approx(rho, rel=1e-12)
+    assert blob["residual"] <= 1e-8
 
 
 def test_eigvec_explicit_lambda_and_branch(capsys, tmp_path):
@@ -271,7 +283,7 @@ def test_tolerances_must_be_finite_and_positive(capsys, tmp_path):
     for verb, flag in (
         ("spectrum", "--tol"),
         ("spectrum", "--root-tol"),
-        ("radius", "--root-tol"),
+        ("eigvec", "--root-tol"),
         ("check-paper", "--tol"),
         ("check-paper", "--root-tol"),
     ):
@@ -282,6 +294,13 @@ def test_tolerances_must_be_finite_and_positive(capsys, tmp_path):
             assert exc.value.code == 2, (verb, flag, value)
             err = capsys.readouterr().err
             assert f"argument {flag}: expected a finite number > 0" in err
+    for verb in ("subtrees", "spectrum", "ispower"):
+        for value in ("-1", "0", "1.5"):
+            with pytest.raises(SystemExit) as exc:
+                main([verb, path, "--max-subsets", value])
+            assert exc.value.code == 2, (verb, value)
+            err = capsys.readouterr().err
+            assert "argument --max-subsets: expected an integer >= 1" in err
 
 
 def test_long_path_has_no_recursion_limit(capsys, tmp_path):
@@ -310,7 +329,7 @@ VERB_FLAGS = {
     "subtrees": {"--format", "--max-subsets"},
     "spectrum": COMMON_FLAGS,
     "roots-csv": NUMERIC | {"--max-subsets"},
-    "radius": {"--root-tol", "--seed", "--format"},
+    "radius": {"--format"},
     "ispower": {"--format", "--max-subsets"},
     "cyclotomic": {"--format", "--max-subsets"},
     "eigvec": NUMERIC | {"--format"},

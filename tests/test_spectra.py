@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
 import helpers
@@ -204,6 +205,36 @@ def test_spectral_radius_examples():
     )
     rho = spectral_radius(hypergraph("H1"))
     assert 3 ** (1 / 3) < rho < 3.2 ** (1 / 3)
+    # loose paths, where rho^k = 4 cos^2(pi / (t + 2))
+    for t in (30, 60, 100):
+        for k in (3, 4):
+            want = (4 * math.cos(math.pi / (t + 2)) ** 2) ** (1 / k)
+            assert spectral_radius(loose_path(t, k)) == pytest.approx(
+                want, rel=1e-12
+            ), (t, k)
+    H = random_hypertree(60, 3, random.Random(1))
+    alpha = _mpmath_largest_real_root(matching_polynomial(H).coeffs)
+    want = float(alpha ** (mpmath.mpf(1) / 3))
+    assert want == pytest.approx(2.0776144075911084, rel=1e-15)
+    assert spectral_radius(H) == pytest.approx(want, rel=1e-12)
+
+
+def _mpmath_largest_real_root(coeffs):
+    """Newton at 50 digits from numpy's largest real root; the Perron
+    root of a connected tree is simple, so Newton converges to it."""
+    import numpy as np
+
+    big_endian = list(reversed(coeffs))
+    start = max(
+        z.real for z in np.roots([float(c) for c in big_endian]) if abs(z.imag) < 1e-6
+    )
+    with mpmath.workdps(50):
+        return mpmath.findroot(
+            lambda a: mpmath.polyval(big_endian, a),
+            mpmath.mpf(start),
+            solver="newton",
+            verify=False,
+        )
 
 
 def test_spectral_radius_dominates_subtrees():

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Verbs: gen, matchpoly, subtrees, spectrum, radius, ispower, cyclotomic,
-eigvec, roots-csv, check-paper.  Hypergraphs travel as canonical JSON
+eigvec, check-paper.  Hypergraphs travel as canonical JSON
 (``{"k":, "n":, "edges": [[...], ...]}``); parsers canonicalize unsorted
 input, writers always emit canonical form.
 
@@ -116,29 +116,16 @@ def _cmd_subtrees(args) -> int:
     return 0
 
 
-def _spectrum_of(args) -> spectra.SpectrumSet:
+def _cmd_spectrum(args) -> int:
     H = _read_hypergraph(args.input)
-    return spectra.set_spectrum(
+    spectrum = spectra.set_spectrum(
         H,
         tol=args.tol,
         root_tol=args.root_tol,
-        seed=args.seed,
         max_subsets=args.max_subsets,
     )
-
-
-def _print_spectrum_csv(spectrum: spectra.SpectrumSet) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    for row in spectrum.csv_rows():
-        writer.writerow(row)
-
-
-def _cmd_spectrum(args) -> int:
-    spectrum = _spectrum_of(args)
-    if args.csv:
-        args.format = "csv"
     if args.format == "csv":
-        _print_spectrum_csv(spectrum)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(spectrum.csv_rows())
     elif args.format == "json":
         print(json.dumps(spectrum.to_json_dict()))
     else:
@@ -146,11 +133,6 @@ def _cmd_spectrum(args) -> int:
         for v, s in zip(spectrum.values, spectrum.sources):
             origin = f"  from {matching.alpha_str(s.poly)}" if s else ""
             print(f"  {v.real:+.12f} {v.imag:+.12f}i{origin}")
-    return 0
-
-
-def _cmd_roots_csv(args) -> int:
-    _print_spectrum_csv(_spectrum_of(args))
     return 0
 
 
@@ -204,7 +186,7 @@ def _cmd_eigvec(args) -> int:
             lam = complex(float(re_s), float(im_s))
         except ValueError:
             raise ValidationError(
-                "--lam expects 're,im', e.g. --lam '1.2599,0'"
+                "--lam expects 're,im', e.g. --lam=-0.63,1.09"
             ) from None
     elif args.branch < 0 or args.branch >= H.k:
         raise ValidationError(f"--branch must be in 0..{H.k - 1}")
@@ -213,14 +195,12 @@ def _cmd_eigvec(args) -> int:
         lam = rho * cmath.exp(1j * (2 * cmath.pi * args.branch) / H.k)
     else:
         phi = matching.matching_polynomial(H)
-        roots = spectra.alpha_roots(phi, args.root_tol, args.seed)
+        roots = spectra.alpha_roots(phi, args.root_tol)
         idx = args.alpha_index
         if idx < 0 or idx >= len(roots):
             raise ValidationError(f"--alpha-index {idx} outside 0..{len(roots) - 1}")
         lam = spectra.lift_to_x(roots[idx][0], H.k)[args.branch]
-    pair = spectra.find_totally_nonzero_eigenvector(
-        H, lam, tol=args.tol, seed=args.seed
-    )
+    pair = spectra.find_totally_nonzero_eigenvector(H, lam, tol=args.tol)
     payload = {
         "lambda": {"re": pair.lam.real, "im": pair.lam.imag},
         "residual": pair.residual,
@@ -245,7 +225,7 @@ def _cmd_check_paper(args) -> int:
         degree_ok = fixtures.degree_check(f)
         try:
             report = fixtures.spectrum_crosscheck(
-                name, tol=args.tol, root_tol=args.root_tol, seed=args.seed
+                name, tol=args.tol, root_tol=args.root_tol
             )
             bases_ok = spectrum_ok = True
             detail = (
@@ -321,13 +301,12 @@ _VERB_FLAGS = {
     "gen": "--seed",
     "matchpoly": "--format",
     "subtrees": "--format --max-subsets",
-    "spectrum": "--tol --root-tol --seed --format --max-subsets",
-    "roots-csv": "--tol --root-tol --seed --max-subsets",
+    "spectrum": "--tol --root-tol --format --max-subsets",
     "radius": "--format",
     "ispower": "--format --max-subsets",
     "cyclotomic": "--format --max-subsets",
-    "eigvec": "--tol --root-tol --seed --format",
-    "check-paper": "--tol --root-tol --seed --format",
+    "eigvec": "--tol --root-tol --format",
+    "check-paper": "--tol --root-tol --format",
 }
 
 
@@ -353,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed": dict(
             type=int,
             default=spectra.DEFAULT_SEED,
-            help="PRNG seed for root-finder starts and random generation",
+            help="PRNG seed of the random generator",
         ),
         "--format": dict(
             choices=("text", "json"), default="text", help="output format"
@@ -387,21 +366,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ("ispower", _cmd_ispower, "structural and spectral power-tree tests"),
         ("cyclotomic", _cmd_cyclotomic, "is every eigenvalue^k real?"),
         ("eigvec", _cmd_eigvec, "totally nonzero eigenvector"),
-        ("roots-csv", _cmd_roots_csv, "spectrum as CSV scatter data"),
     ):
         p = add_verb(verb, handler, desc)
         p.add_argument("input", help="hypergraph JSON file, or - for stdin")
-        if verb == "spectrum":
-            p.add_argument(
-                "--csv",
-                action="store_true",
-                help="shorthand for --format csv",
-            )
         if verb == "eigvec":
             p.add_argument(
                 "--lam",
                 default=None,
-                help="eigenvalue as 're,im' (default: the spectral radius)",
+                metavar="RE,IM",
+                help="eigenvalue, written --lam=RE,IM so that a negative RE "
+                "is not read as a flag (default: the spectral radius)",
             )
             p.add_argument(
                 "--alpha-index",

@@ -66,7 +66,8 @@ class DidNotConverge(ConvergenceError):
 
 
 class NoConvergence(ConvergenceError):
-    """Eigenvector search exhausted its restart budget."""
+    """The eigenvector elimination met a pole, or its vector missed the
+    tolerance."""
 
 
 # -- reference data -------------------------------------------------------------

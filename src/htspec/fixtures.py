@@ -21,7 +21,6 @@ from .errors import MismatchReport, UnknownFixture, ValidationError
 from .matching import AlphaPolynomial, alpha_poly, alpha_str, x_str
 from .spectra import (
     DEFAULT_ROOT_TOL,
-    DEFAULT_SEED,
     DEFAULT_SET_TOL,
     _distinct_lifts,
     set_spectrum,
@@ -181,7 +180,6 @@ def spectrum_crosscheck(
     name: str,
     tol: float = DEFAULT_SET_TOL,
     root_tol: float = DEFAULT_ROOT_TOL,
-    seed: int = DEFAULT_SEED,
 ) -> CrosscheckReport:
     """Validate a fixture two ways, raising MismatchReport on failure.
 
@@ -204,8 +202,8 @@ def spectrum_crosscheck(
             expected=[alpha_str(p) for p in bases],
             got=[alpha_str(p) for p in catalog.polys],
         )
-    spectrum = set_spectrum(H, tol, root_tol, seed, catalog=catalog)
-    kept = _distinct_lifts((b for b, _ in f.factors), f.k, tol, root_tol, seed, [])
+    spectrum = set_spectrum(H, tol, root_tol, catalog=catalog)
+    kept = _distinct_lifts((b for b, _ in f.factors), f.k, tol, root_tol, [])
     fixture_roots = [lam for lam, _ in kept]
     computed = list(spectrum.nonzero_values())
     worst = 0.0

@@ -21,8 +21,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import _ratpoly as _rp
 from .core import UniformHypergraph, VertexSet, incident_edges, is_hypertree
 from .core import rooted_orientation
@@ -201,7 +199,6 @@ def _split_roots(roots: list[complex], n_real: int) -> list[complex]:
 def alpha_roots(
     p: AlphaPolynomial,
     root_tol: float = DEFAULT_ROOT_TOL,
-    seed: int = DEFAULT_SEED,
 ) -> list[tuple[complex, int]]:
     """All alpha roots of p with multiplicities, sorted by (re, im).
 
@@ -213,12 +210,14 @@ def alpha_roots(
     ``|p(r)| <= root_tol * max|coeff| * max(1, |r|)^deg``.  Raises
     DidNotConverge when that target is missed or overflows floats, or
     when the refined roots cannot be split as the Sturm count says.
+    Aberth's starts are perturbed by a fixed seed, so every call gives
+    the same roots.
     """
     if p.degree < 0:
         raise ValidationError("the zero polynomial has no root set")
     if p.degree == 0:
         return []
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     # alpha = 0 roots come straight off the trailing zero coefficients
     zero_mult = next(i for i, c in enumerate(p.coeffs) if c)
     reduced = alpha_poly(p.coeffs[zero_mult:])
@@ -337,13 +336,13 @@ def _require_spectrum_input(H: UniformHypergraph) -> None:
         raise NotAHypertree("spectrum operations require a hypertree")
 
 
-def _distinct_lifts(polys, k, tol, root_tol, seed, kept):
+def _distinct_lifts(polys, k, tol, root_tol, kept):
     """Append to kept, in order, each k-th root lift of each alpha root
     of each of polys that lies farther than tol from every value kept
     before it (the first accepted wins), with its source; return kept.
     """
     for poly in polys:
-        for a, _mult in alpha_roots(poly, root_tol, seed):
+        for a, _mult in alpha_roots(poly, root_tol):
             for lam in lift_to_x(a, k):
                 if not any(abs(lam - v) <= tol for v, _ in kept):
                     kept.append((lam, SpectrumSource(poly, a)))
@@ -354,7 +353,6 @@ def set_spectrum(
     H: UniformHypergraph,
     tol: float = DEFAULT_SET_TOL,
     root_tol: float = DEFAULT_ROOT_TOL,
-    seed: int = DEFAULT_SEED,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
     catalog: SubtreeCatalog | None = None,
 ) -> SpectrumSet:
@@ -367,7 +365,7 @@ def set_spectrum(
     _require_spectrum_input(H)
     if catalog is None:
         catalog = distinct_matching_polynomials(H, max_subsets)
-    kept = _distinct_lifts(catalog.polys, H.k, tol, root_tol, seed, [(0j, None)])
+    kept = _distinct_lifts(catalog.polys, H.k, tol, root_tol, [(0j, None)])
     kept.sort(key=lambda item: (item[0].real, item[0].imag))
     return SpectrumSet(
         values=tuple(v for v, _ in kept),
@@ -533,68 +531,6 @@ def _leaf_to_root_eigenvector(
     return [x[v] for v in range(1, H.n + 1)]
 
 
-def _newton_eigenvector(
-    H: UniformHypergraph, lam: complex, rng: random.Random, iters: int = 80
-) -> list[complex] | None:
-    """Damped Newton on the full eigen-system with x_1 = 1 pinned."""
-    n, k = H.n, H.k
-    incident = incident_edges(H)
-
-    def equations(x: np.ndarray) -> np.ndarray:
-        out = np.zeros(n, dtype=complex)
-        for j in range(1, n + 1):
-            s = 0j
-            for i in incident[j]:
-                prod = 1 + 0j
-                for v in H.edges[i]:
-                    if v != j:
-                        prod *= x[v - 1]
-                s += prod
-            out[j - 1] = s - lam * x[j - 1] ** (k - 1)
-        return out
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        # rows: equations for vertices 2..n; cols: unknowns x_2..x_n
-        jac = np.zeros((n - 1, n - 1), dtype=complex)
-        for j in range(2, n + 1):
-            for i in incident[j]:
-                for w in H.edges[i]:
-                    if w == j or w == 1:
-                        continue
-                    prod = 1 + 0j
-                    for v in H.edges[i]:
-                        if v != j and v != w:
-                            prod *= x[v - 1]
-                    jac[j - 2, w - 2] += prod
-            jac[j - 2, j - 2] += -lam * (k - 1) * x[j - 1] ** (k - 2)
-        return jac
-
-    x = np.ones(n, dtype=complex)
-    for j in range(1, n):
-        r = 0.4 + 1.2 * rng.random()
-        x[j] = r * cmath.exp(2j * cmath.pi * rng.random())
-    for _ in range(iters):
-        f = equations(x)
-        norm = float(np.linalg.norm(f[1:]))
-        if norm < 1e-13 * max(1.0, abs(lam)) ** k:
-            break
-        try:
-            step = np.linalg.solve(jacobian(x), -f[1:])
-        except np.linalg.LinAlgError:
-            return None
-        t = 1.0
-        while t > 1e-4:
-            trial = x.copy()
-            trial[1:] += t * step
-            if float(np.linalg.norm(equations(trial)[1:])) < (1 - 0.25 * t) * norm:
-                x = trial
-                break
-            t /= 2
-        else:
-            return None
-    return [complex(v) for v in x]
-
-
 def zero_extend(
     x_sub: list[complex] | tuple[complex, ...],
     original_labels: tuple[int, ...] | VertexSet,
@@ -616,52 +552,41 @@ def find_totally_nonzero_eigenvector(
     H: UniformHypergraph,
     lam: complex,
     tol: float = DEFAULT_SET_TOL,
-    seed: int = DEFAULT_SEED,
-    max_restarts: int = 32,
 ) -> Eigenpair:
     """Eigenvector for lam with every coordinate nonzero, normalized so
-    the minimum-index vertex carries 1.
+    vertex 1 carries 1.
 
-    Tries the leaf-to-root tree elimination first and falls back to
-    damped Newton from seeded random starts.  NoConvergence after the
-    restart budget signals either a numerically defective lam or a lam
-    that is not actually a root of the matching polynomial.
+    One leaf-to-root elimination builds it: the construction of Zhang,
+    Kang, Shan and Bai ("The spectra of uniform hypertrees", Linear
+    Algebra Appl. 533, 2017) that the set-spectrum theorem extends to
+    subtrees.  NoConvergence, naming which, when the elimination meets a
+    pole or when its vector has residual above tol or an entry of
+    modulus <= tol; a lam that is not a root of the matching polynomial
+    ends in one of the two.
     """
     _require_spectrum_input(H)
     if abs(lam) <= tol:
         raise ValidationError(
             "a totally nonzero eigenpair requires a nonzero eigenvalue"
         )
-
-    def finalize(raw: list[complex] | None) -> Eigenpair | None:
-        if raw is None or any(v is None for v in raw):
-            return None
-        pivot = raw[0]
-        if abs(pivot) < 1e-300:
-            return None
-        x = [v / pivot for v in raw]
-        residual = eigen_residual(H, lam, x)
-        support = VertexSet.of(
-            j + 1 for j, v in enumerate(x) if abs(v) > tol
+    raw = _leaf_to_root_eigenvector(H, lam)
+    if raw is None:
+        raise NoConvergence(
+            f"the leaf-to-root elimination meets a pole at lambda = {lam}"
         )
-        if residual > tol or len(support) != H.n:
-            return None
-        return Eigenpair(
-            lam=lam,
-            x=tuple(x),
-            residual=residual,
-            support=support,
-            totally_nonzero=True,
+    # raw[0] is 1 already; dividing by it turns each -0.0 part into 0.0
+    x = [v / raw[0] for v in raw]
+    residual = eigen_residual(H, lam, x)
+    if not (residual <= tol and all(abs(v) > tol for v in x)):
+        raise NoConvergence(
+            f"the eliminated vector at lambda = {lam} misses tol {tol:g}: "
+            f"residual {residual:.3e}, smallest entry "
+            f"{min(abs(v) for v in x):.3e}"
         )
-
-    pair = finalize(_leaf_to_root_eigenvector(H, lam))
-    if pair is not None:
-        return pair
-    rng = random.Random(seed)
-    for _ in range(max_restarts):
-        pair = finalize(_newton_eigenvector(H, lam, rng))
-        if pair is not None:
-            return pair
-    raise NoConvergence(
-        f"no totally nonzero eigenvector found for lambda = {lam}"
+    return Eigenpair(
+        lam=lam,
+        x=tuple(x),
+        residual=residual,
+        support=VertexSet.of(range(1, H.n + 1)),
+        totally_nonzero=True,
     )

@@ -1,8 +1,12 @@
 """CLI behavior: verbs, formats, determinism, exit codes."""
 
+import cmath
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -60,13 +64,6 @@ def test_spectrum_csv_header_and_size(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0] == "re,im,source_poly,alpha_re,alpha_im"
     assert len(lines) == 1 + 40  # 13 alpha roots * 3 lifts + zero
-
-
-def test_roots_csv_equals_spectrum_csv(capsys, tmp_path):
-    path = write_h3(tmp_path)
-    _, a, _ = run(capsys, "spectrum", path, "--format", "csv")
-    _, b, _ = run(capsys, "roots-csv", path)
-    assert a == b
 
 
 def test_radius(capsys, tmp_path):
@@ -167,6 +164,16 @@ def test_eigvec_explicit_lambda_and_branch(capsys, tmp_path):
     assert code == 2 and "re,im" in err
     code, _, err = run(capsys, "eigvec", str(path), "--branch", "7")
     assert code == 2
+    # a negative real part goes after '=', or argparse reads it as a flag
+    lam = 2 ** (1 / 3) * cmath.exp(2j * cmath.pi / 3)
+    code, out, _ = run(
+        capsys, "eigvec", str(path), f"--lam={lam.real!r},{lam.imag!r}",
+        "--format", "json",
+    )
+    assert code == 0 and lam.real < 0
+    blob = json.loads(out)
+    assert blob["lambda"] == {"re": lam.real, "im": lam.imag}
+    assert blob["residual"] <= 1e-8
 
 
 def test_subtrees_and_eigvec_text_output(capsys, tmp_path):
@@ -203,8 +210,8 @@ def test_check_paper_passes(capsys):
 
 def test_identical_invocations_are_byte_identical(capsys, tmp_path):
     path = write_h3(tmp_path)
-    _, a, _ = run(capsys, "spectrum", path, "--format", "json", "--seed", "5")
-    _, b, _ = run(capsys, "spectrum", path, "--format", "json", "--seed", "5")
+    _, a, _ = run(capsys, "spectrum", path, "--format", "json")
+    _, b, _ = run(capsys, "spectrum", path, "--format", "json")
     assert a == b
 
 
@@ -234,7 +241,6 @@ def test_generator_roundtrip_never_errors(capsys, tmp_path, monkeypatch):
         "ispower",
         "cyclotomic",
         "eigvec",
-        "roots-csv",
     ]
     for spec in specs:
         code = main(["gen", *spec])
@@ -322,13 +328,12 @@ def test_cycle_input_exits_2(capsys, tmp_path):
 
 
 COMMON_FLAGS = {"--tol", "--root-tol", "--seed", "--format", "--max-subsets"}
-NUMERIC = {"--tol", "--root-tol", "--seed"}
+NUMERIC = {"--tol", "--root-tol"}
 VERB_FLAGS = {
     "gen": {"--seed"},
     "matchpoly": {"--format"},
     "subtrees": {"--format", "--max-subsets"},
-    "spectrum": COMMON_FLAGS,
-    "roots-csv": NUMERIC | {"--max-subsets"},
+    "spectrum": NUMERIC | {"--format", "--max-subsets"},
     "radius": {"--format"},
     "ispower": {"--format", "--max-subsets"},
     "cyclotomic": {"--format", "--max-subsets"},
@@ -357,3 +362,18 @@ def test_verbs_take_only_the_common_flags_they_read(capsys, tmp_path):
                 main(head.get(verb, [verb, path]) + ["--format", "csv"])
             assert exc.value.code == 2
             capsys.readouterr()
+
+
+def test_import_loads_no_numpy():
+    import htspec
+
+    src = os.path.dirname(os.path.dirname(htspec.__file__))
+    code = "import sys, htspec; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "False\n"

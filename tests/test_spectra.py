@@ -367,9 +367,17 @@ def test_find_eigenvector_fails_for_non_eigenvalue():
 
     # 1.7 is no root of x^3 - 2, so no eigenvector can exist
     with pytest.raises(NoConvergence):
-        find_totally_nonzero_eigenvector(
-            loose_path(2, 3), complex(1.7), max_restarts=4
-        )
+        find_totally_nonzero_eigenvector(loose_path(2, 3), complex(1.7))
+
+
+def test_pole_raises_instead_of_a_near_zero_witness():
+    from htspec.errors import NoConvergence
+
+    # alpha = 1 is a root of this host's matching polynomial, but the
+    # elimination meets 1 - u_c = 0 on the way, so no witness comes out
+    H = random_hypertree(5, 4, random.Random(105))
+    with pytest.raises(NoConvergence, match="pole"):
+        find_totally_nonzero_eigenvector(H, 1 + 0j)
 
 
 def test_root_refinement_budget_is_enforced():

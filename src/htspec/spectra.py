@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from . import _ratpoly as _rp
 from .core import UniformHypergraph, VertexSet, incident_edges, is_hypertree
@@ -272,13 +273,25 @@ class SpectrumSource:
 
 @dataclass(frozen=True)
 class SpectrumSet:
-    """Deduplicated eigenvalue set with the tolerances that shaped it."""
+    """Deduplicated eigenvalue set with the tolerances that shaped it.
+
+    ``sources`` gives each value's provenance, or is empty for none.
+    """
 
     values: tuple[complex, ...]
     tol: float
     k: int
     root_tol: float = DEFAULT_ROOT_TOL
     sources: tuple[SpectrumSource | None, ...] = ()
+
+    def __post_init__(self):
+        if self.sources and len(self.sources) != len(self.values):
+            raise ValidationError(
+                f"{len(self.sources)} sources for {len(self.values)} values"
+            )
+
+    def _sourced(self):
+        return zip(self.values, self.sources or repeat(None))
 
     def contains(self, z: complex) -> bool:
         return any(abs(z - v) <= self.tol for v in self.values)
@@ -307,14 +320,14 @@ class SpectrumSet:
                     "alpha_re": s.alpha.real if s else None,
                     "alpha_im": s.alpha.imag if s else None,
                 }
-                for v, s in zip(self.values, self.sources)
+                for v, s in self._sourced()
             ],
         }
 
     def csv_rows(self) -> list[list[str]]:
         """Rows for the root-scatter CSV (header included)."""
         rows = [["re", "im", "source_poly", "alpha_re", "alpha_im"]]
-        for v, s in zip(self.values, self.sources):
+        for v, s in self._sourced():
             rows.append(
                 [
                     repr(v.real),
@@ -376,6 +389,25 @@ def set_spectrum(
     )
 
 
+def _bisect(above, lo: float, hi: float) -> tuple[float, float]:
+    """Narrow lo < hi, where not above(lo) and above(hi), to adjacent
+    floats with the same property."""
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return lo, hi
+
+
+def _radius_guess(above) -> float:
+    """The float where the monotone test ``above`` turns true, searched
+    by doubling from 1 and then bisection; spectral_radius runs it on
+    float labels for a starting point only."""
+    lo, hi = 0.0, 1.0
+    while not above(hi):
+        lo, hi = hi, 2 * hi
+    return _bisect(above, lo, hi)[1]
+
+
 def spectral_radius(H: UniformHypergraph) -> float:
     """rho(H) rounded to the nearest float; rho^k is the largest real
     alpha root of H's matching polynomial.
@@ -383,9 +415,13 @@ def spectral_radius(H: UniformHypergraph) -> float:
     Exact test: r > rho iff the leaf-to-root labels u of ``_labels``
     at alpha = r^k, in Fractions, keep every 1 - u_c > 0 and end with
     u_root < 1 (the alpha-normal labeling of Lu and Man, Linear Algebra
-    Appl. 509, 2016); O(mk) per test.  hi doubles from 1 until the test
-    holds, then lo <= rho < hi is bisected down to adjacent floats (width
-    1 ulp, at most rho * 2^-52); a test at their midpoint picks one.
+    Appl. 509, 2016); O(mk) per test.  The same test on float labels
+    gives a guess, which only picks where the exact search starts:
+    from it, exact tests gallop outwards (steps of 1, 2, 4, ... ulps)
+    until lo <= rho < hi, bisect that bracket down to adjacent floats
+    and test their midpoint to pick one.  A guess within an ulp of rho,
+    the usual case, costs 3 exact tests; one d ulps away costs about
+    2 log2(d) more.  Every returned bit is decided by exact tests.
     """
     _require_spectrum_input(H)
     if H.m == 0:
@@ -393,16 +429,27 @@ def spectral_radius(H: UniformHypergraph) -> float:
     incident = incident_edges(H)
     up, order = rooted_orientation(H)
 
-    def above(r) -> bool:
-        u = _labels(H, incident, up, order, Fraction(r) ** H.k, lambda d: d <= 0)
+    def above(r, num=Fraction) -> bool:
+        u = _labels(H, incident, up, order, num(r) ** H.k, lambda d: d <= 0)
         return u is not None and u[order[0]] < 1
 
-    lo, hi = 0.0, 1.0
-    while not above(hi):
-        lo, hi = hi, 2 * hi
-    while math.nextafter(lo, hi) < hi:
-        mid = (lo + hi) / 2
-        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    guess = _radius_guess(lambda r: above(r, float))
+    if not 0 < guess < math.inf:
+        guess = 1.0
+    step = math.ulp(guess)
+    if above(guess):
+        # rho > 0, so 0 bounds it from below without a test
+        lo, hi = guess - step, guess
+        while lo > 0 and above(lo):
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, 0.0)
+    else:
+        lo, hi = guess, guess + step
+        while not above(hi):
+            lo, step = hi, 2 * step
+            hi = lo + step
+    lo, hi = _bisect(above, lo, hi)
     return lo if above((Fraction(lo) + Fraction(hi)) / 2) else hi
 
 

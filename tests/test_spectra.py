@@ -9,6 +9,7 @@ import pytest
 
 import helpers
 from htspec import (
+    SpectrumSet,
     alpha_poly,
     alpha_roots,
     build,
@@ -190,6 +191,20 @@ def test_set_spectrum_rejects_graphs_and_non_trees():
         set_spectrum(build(3, 6, [[1, 2, 3]]))
 
 
+def test_spectrum_set_without_sources_keeps_its_values():
+    s = SpectrumSet(values=(0j, 1 + 0j), tol=1e-8, k=3)
+    assert [(v["re"], v["source_poly"]) for v in s.to_json_dict()["values"]] == [
+        (0.0, None),
+        (1.0, None),
+    ]
+    assert s.csv_rows()[1:] == [
+        ["0.0", "0.0", "", "", ""],
+        ["1.0", "0.0", "", "", ""],
+    ]
+    with pytest.raises(ValidationError, match="1 sources for 2 values"):
+        SpectrumSet(values=(0j, 1 + 0j), tol=1e-8, k=3, sources=(None,))
+
+
 def test_rotation_symmetry_of_spectra():
     rng = random.Random(67)
     hosts = [hypergraph(n) for n in ("H1", "H2", "H3")]
@@ -217,6 +232,42 @@ def test_spectral_radius_examples():
     want = float(alpha ** (mpmath.mpf(1) / 3))
     assert want == pytest.approx(2.0776144075911084, rel=1e-15)
     assert spectral_radius(H) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda g: g + 1000 * math.ulp(g),
+        lambda g: g - 1000 * math.ulp(g),
+        lambda g: 1.0,
+        lambda g: 2 * g,
+        lambda g: 0.0,
+        lambda g: math.inf,
+        lambda g: math.nan,
+    ],
+    ids=["1000-ulps-up", "1000-ulps-down", "one", "above", "zero", "inf", "nan"],
+)
+def test_spectral_radius_float_guess_is_only_a_hint(monkeypatch, wrong):
+    from htspec import spectra
+
+    hosts = [loose_path(t, k) for t in (1, 2, 30) for k in (3, 4)]
+    hosts += [loose_path(100, 3), star(8, 3), star(5, 4)]
+    hosts.append(random_hypertree(60, 3, random.Random(1)))
+    # rho = 2 exactly on star(8, 3); rho^k = t on star(t, k)
+    assert spectral_radius(hosts[-3]) == 2.0
+    want = [spectral_radius(H) for H in hosts]
+    assert want[-1] == pytest.approx(2.0776144075911084, rel=1e-15)
+    guess = spectra._radius_guess
+    monkeypatch.setattr(spectra, "_radius_guess", lambda above: wrong(guess(above)))
+    assert [spectral_radius(H) for H in hosts] == want
+
+
+def test_spectral_radius_of_a_500_edge_path_within_budget():
+    H = loose_path(500, 3)
+    with helpers.Budget("spectral radius: 500-edge path, k = 3", 0.75):
+        rho = spectral_radius(H)
+    want = (4 * math.cos(math.pi / 502) ** 2) ** (1 / 3)
+    assert rho == pytest.approx(want, rel=1e-12)
 
 
 def _mpmath_largest_real_root(coeffs):

@@ -118,12 +118,7 @@ def _cmd_subtrees(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     H = _read_hypergraph(args.input)
-    spectrum = spectra.set_spectrum(
-        H,
-        tol=args.tol,
-        root_tol=args.root_tol,
-        max_subsets=args.max_subsets,
-    )
+    spectrum = spectra.set_spectrum(H, tol=args.tol, max_subsets=args.max_subsets)
     if args.format == "csv":
         csv.writer(sys.stdout, lineterminator="\n").writerows(spectrum.csv_rows())
     elif args.format == "json":
@@ -180,27 +175,34 @@ def _cmd_cyclotomic(args) -> int:
 
 def _cmd_eigvec(args) -> int:
     H = _read_hypergraph(args.input)
+    branch = args.branch or 0
     if args.lam is not None:
+        if args.alpha_index is not None or args.branch is not None:
+            flag = "--branch" if args.alpha_index is None else "--alpha-index"
+            raise ValidationError(f"--lam cannot be given with {flag}")
         try:
             re_s, im_s = args.lam.split(",")
-            lam = complex(float(re_s), float(im_s))
+            lifts = [complex(float(re_s), float(im_s))]
         except ValueError:
             raise ValidationError(
                 "--lam expects 're,im', e.g. --lam=-0.63,1.09"
             ) from None
-    elif args.branch < 0 or args.branch >= H.k:
+    elif branch < 0 or branch >= H.k:
         raise ValidationError(f"--branch must be in 0..{H.k - 1}")
     elif args.alpha_index is None:
         rho = spectra.spectral_radius(H)
-        lam = rho * cmath.exp(1j * (2 * cmath.pi * args.branch) / H.k)
+        lifts = [rho * cmath.exp(1j * (2 * cmath.pi * j) / H.k) for j in range(H.k)]
     else:
         phi = matching.matching_polynomial(H)
-        roots = spectra.alpha_roots(phi, args.root_tol)
+        roots = spectra.alpha_roots(phi)
         idx = args.alpha_index
         if idx < 0 or idx >= len(roots):
             raise ValidationError(f"--alpha-index {idx} outside 0..{len(roots) - 1}")
-        lam = spectra.lift_to_x(roots[idx][0], H.k)[args.branch]
-    pair = spectra.find_totally_nonzero_eigenvector(H, lam, tol=args.tol)
+        lifts = spectra.lift_to_x(roots[idx][0], H.k)
+    # the other branches are rotated from branch 0: see rotate_eigenpair
+    pair = spectra.find_totally_nonzero_eigenvector(H, lifts[0], tol=args.tol)
+    if branch:
+        pair = spectra.rotate_eigenpair(H, pair, lifts[branch], tol=args.tol)
     payload = {
         "lambda": {"re": pair.lam.real, "im": pair.lam.imag},
         "residual": pair.residual,
@@ -224,9 +226,7 @@ def _cmd_check_paper(args) -> int:
         f = fixtures.fixture(name)
         degree_ok = fixtures.degree_check(f)
         try:
-            report = fixtures.spectrum_crosscheck(
-                name, tol=args.tol, root_tol=args.root_tol
-            )
+            report = fixtures.spectrum_crosscheck(name, tol=args.tol)
             bases_ok = spectrum_ok = True
             detail = (
                 f"{len(report.bases)} bases, "
@@ -283,7 +283,7 @@ def _count(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of --tol and --root-tol: a finite float > 0."""
+    """argparse type of --tol: a finite float > 0."""
     try:
         value = float(text)
     except ValueError:
@@ -301,12 +301,12 @@ _VERB_FLAGS = {
     "gen": "--seed",
     "matchpoly": "--format",
     "subtrees": "--format --max-subsets",
-    "spectrum": "--tol --root-tol --format --max-subsets",
+    "spectrum": "--tol --format --max-subsets",
     "radius": "--format",
     "ispower": "--format --max-subsets",
     "cyclotomic": "--format --max-subsets",
-    "eigvec": "--tol --root-tol --format",
-    "check-paper": "--tol --root-tol --format",
+    "eigvec": "--tol --format",
+    "check-paper": "--tol --format",
 }
 
 
@@ -323,11 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
             type=_tolerance,
             default=spectra.DEFAULT_SET_TOL,
             help="set membership / dedup tolerance (default 1e-8)",
-        ),
-        "--root-tol": dict(
-            type=_tolerance,
-            default=spectra.DEFAULT_ROOT_TOL,
-            help="polynomial root residual target (default 1e-12)",
         ),
         "--seed": dict(
             type=int,
@@ -387,8 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--branch",
                 type=int,
-                default=0,
-                help="which k-th root lift to use (0..k-1)",
+                default=None,
+                help="which k-th root lift to use (0..k-1, default 0)",
             )
 
     add_verb(

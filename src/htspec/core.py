@@ -159,24 +159,21 @@ def is_hyperforest(H: UniformHypergraph) -> bool:
     )
 
 
-def incident_edges(H: UniformHypergraph) -> list[list[int]]:
-    """Indices of the edges at each vertex, ascending (entry 0 is a dummy)."""
+def rooted_walk(
+    H: UniformHypergraph,
+) -> tuple[list[int], list[list[tuple[int, ...]]]]:
+    """(order, children) with each component of a hyperforest rooted at
+    its smallest vertex: order lists every vertex after its parent, depth
+    first without recursion, and children[v] holds, for each edge at v
+    other than the one towards its root, in ascending edge order, the
+    edge's other vertices in ascending order (entry 0 is a dummy).
+    """
     incident: list[list[int]] = [[] for _ in range(H.n + 1)]
     for i, e in enumerate(H.edges):
         for v in e:
             incident[v].append(i)
-    return incident
-
-
-def rooted_orientation(H: UniformHypergraph) -> tuple[list[int], list[int]]:
-    """(up, order) with each component of a hyperforest rooted at its
-    smallest vertex: up[v] is the edge from v towards its root (-1 at
-    roots; entry 0 is a dummy), and order lists every vertex after its
-    parent, depth first without recursion.  The child edges of v are
-    incident_edges(H)[v] without up[v], in that order.
-    """
-    incident = incident_edges(H)
-    up = [-1] * (H.n + 1)
+    up = [-1] * (H.n + 1)  # the edge from each vertex towards its root
+    children: list[list[tuple[int, ...]]] = [[] for _ in range(H.n + 1)]
     order: list[int] = []
     for root in range(1, H.n + 1):
         if up[root] >= 0:  # reached from an earlier root
@@ -187,11 +184,12 @@ def rooted_orientation(H: UniformHypergraph) -> tuple[list[int], list[int]]:
             order.append(v)
             for i in incident[v]:
                 if i != up[v]:
-                    for c in H.edges[i]:
-                        if c != v:
-                            up[c] = i
-                            stack.append(c)
-    return up, order
+                    kids = tuple(c for c in H.edges[i] if c != v)
+                    for c in kids:
+                        up[c] = i
+                    stack.extend(kids)
+                    children[v].append(kids)
+    return order, children
 
 
 def edge_adjacency_masks(H: UniformHypergraph) -> list[int]:

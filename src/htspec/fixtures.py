@@ -19,12 +19,7 @@ from . import _ratpoly as _rp
 from .core import UniformHypergraph, build, comb
 from .errors import MismatchReport, UnknownFixture, ValidationError
 from .matching import AlphaPolynomial, alpha_poly, alpha_str, x_str
-from .spectra import (
-    DEFAULT_ROOT_TOL,
-    DEFAULT_SET_TOL,
-    _distinct_lifts,
-    set_spectrum,
-)
+from .spectra import DEFAULT_SET_TOL, _distinct_lifts, set_spectrum
 from .subtrees import distinct_matching_polynomials
 
 FIXTURE_NAMES = ("H1", "H2", "H3")
@@ -176,11 +171,7 @@ class CrosscheckReport:
     max_root_deviation: float
 
 
-def spectrum_crosscheck(
-    name: str,
-    tol: float = DEFAULT_SET_TOL,
-    root_tol: float = DEFAULT_ROOT_TOL,
-) -> CrosscheckReport:
+def spectrum_crosscheck(name: str, tol: float = DEFAULT_SET_TOL) -> CrosscheckReport:
     """Validate a fixture two ways, raising MismatchReport on failure.
 
     (a) The distinct matching polynomials of the hypertree's connected
@@ -202,8 +193,8 @@ def spectrum_crosscheck(
             expected=[alpha_str(p) for p in bases],
             got=[alpha_str(p) for p in catalog.polys],
         )
-    spectrum = set_spectrum(H, tol, root_tol, catalog=catalog)
-    kept = _distinct_lifts((b for b, _ in f.factors), f.k, tol, root_tol, [])
+    spectrum = set_spectrum(H, tol, catalog=catalog)
+    kept = _distinct_lifts((b for b, _ in f.factors), f.k, tol, [])
     fixture_roots = [lam for lam, _ in kept]
     computed = list(spectrum.nonzero_values())
     worst = 0.0

@@ -19,13 +19,7 @@ from typing import Iterable, Sequence
 
 from . import _ratpoly as _rp
 from . import kernels
-from .core import (
-    UniformHypergraph,
-    edge_adjacency_masks,
-    incident_edges,
-    is_hyperforest,
-    rooted_orientation,
-)
+from .core import UniformHypergraph, edge_adjacency_masks, is_hyperforest, rooted_walk
 from .errors import NotAHyperforest, TooManyEdgesForOracle, ValidationError
 
 DEFAULT_ORACLE_EDGE_LIMIT = 24
@@ -173,13 +167,6 @@ def poly_to_json(p: AlphaPolynomial) -> dict:
     return {"alpha_coeffs": [str(c) for c in p.coeffs]}
 
 
-def poly_from_json(obj: dict) -> AlphaPolynomial:
-    try:
-        return alpha_poly(int(s) for s in obj["alpha_coeffs"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad polynomial JSON: {exc}") from None
-
-
 # -- matching count computation ----------------------------------------------
 
 
@@ -221,36 +208,32 @@ def matching_counts_tree(H: UniformHypergraph) -> MatchingCounts:
         B_v <- B_v * prod A_c
 
     and the forest's counts are the product of the roots' A.  Vertices
-    are visited in reverse ``rooted_orientation`` order, so there is no
+    are visited in reverse ``rooted_walk`` order, so there is no
     recursion.  Merging two parts costs the product of their list
     lengths, so the total is O(m^2) coefficient operations at most,
     reached on long loose paths.
     """
     if not is_hyperforest(H):
         raise NotAHyperforest("matching_counts_tree requires a hyperforest")
-    incident = incident_edges(H)
-    up, order = rooted_orientation(H)
+    order, children = rooted_walk(H)
     A: list = [None] * (H.n + 1)
     B: list = [None] * (H.n + 1)
-    total = [1]
     for v in reversed(order):
         a = b = [1]
-        for i in incident[v]:
-            if i == up[v]:
-                continue
+        for kids in children[v]:
             pa = pb = [1]
-            for c in H.edges[i]:
-                if c != v:
-                    pa = convolve(pa, A[c])
-                    pb = convolve(pb, B[c])
-                    # freed at once: a long path would otherwise keep
-                    # O(m^2) big coefficients alive
-                    A[c] = B[c] = None
+            for c in kids:
+                pa = convolve(pa, A[c])
+                pb = convolve(pb, B[c])
+                # freed at once: a long path would otherwise keep
+                # O(m^2) big coefficients alive
+                A[c] = B[c] = None
             a, b = add_shifted(convolve(a, pa), convolve(b, pb)), convolve(b, pa)
-        if up[v] < 0:
+        A[v], B[v] = a, b
+    total = [1]
+    for a in A:  # only the roots' counts are left
+        if a is not None:
             total = convolve(total, a)
-        else:
-            A[v], B[v] = a, b
     return MatchingCounts(tuple(total))
 
 

@@ -23,8 +23,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import _ratpoly as _rp
-from .core import UniformHypergraph, VertexSet, incident_edges, is_hypertree
-from .core import rooted_orientation
+from .core import UniformHypergraph, VertexSet, is_hypertree, rooted_walk
 from .errors import (
     DidNotConverge,
     DimensionMismatch,
@@ -43,7 +42,7 @@ from .matching import (
 from .subtrees import DEFAULT_MAX_SUBSETS, SubtreeCatalog, distinct_matching_polynomials
 
 DEFAULT_SET_TOL = 1e-8
-DEFAULT_ROOT_TOL = 1e-12
+ROOT_TOL = 1e-12  # the relative residual target of alpha_roots
 DEFAULT_SEED = 24301
 
 
@@ -93,7 +92,6 @@ def _horner(coeffs: list[complex], z: complex) -> complex:
 
 def _aberth(
     coeffs: list[float],
-    root_tol: float,
     rng: random.Random,
     max_iter: int = 600,
 ) -> list[complex]:
@@ -129,7 +127,7 @@ def _aberth(
     ]
 
     def target(w: complex) -> float:
-        return root_tol * maxc * max(1.0, abs(w)) ** deg
+        return ROOT_TOL * maxc * max(1.0, abs(w)) ** deg
 
     for _ in range(max_iter):
         converged = True
@@ -197,10 +195,7 @@ def _split_roots(roots: list[complex], n_real: int) -> list[complex]:
     return out
 
 
-def alpha_roots(
-    p: AlphaPolynomial,
-    root_tol: float = DEFAULT_ROOT_TOL,
-) -> list[tuple[complex, int]]:
+def alpha_roots(p: AlphaPolynomial) -> list[tuple[complex, int]]:
     """All alpha roots of p with multiplicities, sorted by (re, im).
 
     Multiple roots are separated exactly (squarefree decomposition over
@@ -208,7 +203,7 @@ def alpha_roots(
     simple roots, and each factor's Sturm count says how many of them
     are real: those come back with imaginary part exactly 0, the others
     as exact conjugate pairs.  The refinement target is
-    ``|p(r)| <= root_tol * max|coeff| * max(1, |r|)^deg``.  Raises
+    ``|p(r)| <= ROOT_TOL * max|coeff| * max(1, |r|)^deg``.  Raises
     DidNotConverge when that target is missed or overflows floats, or
     when the refined roots cannot be split as the Sturm count says.
     Aberth's starts are perturbed by a fixed seed, so every call gives
@@ -229,12 +224,12 @@ def alpha_roots(
 
     try:
         for factor, mult in squarefree_decomposition(reduced):
-            roots = _aberth([float(c) for c in factor.coeffs], root_tol, rng)
+            roots = _aberth([float(c) for c in factor.coeffs], rng)
             for z in _split_roots(roots, count_distinct_real_roots(factor)):
                 out.append((z, mult))
 
         for z, _ in out:
-            bound = root_tol * maxc * max(1.0, abs(z)) ** p.degree
+            bound = ROOT_TOL * maxc * max(1.0, abs(z)) ** p.degree
             if abs(p(z)) > bound:
                 raise DidNotConverge(
                     f"root {z} of {alpha_str(p)} misses residual target"
@@ -281,7 +276,6 @@ class SpectrumSet:
     values: tuple[complex, ...]
     tol: float
     k: int
-    root_tol: float = DEFAULT_ROOT_TOL
     sources: tuple[SpectrumSource | None, ...] = ()
 
     def __post_init__(self):
@@ -311,7 +305,7 @@ class SpectrumSet:
         return {
             "k": self.k,
             "tol": self.tol,
-            "root_tol": self.root_tol,
+            "root_tol": ROOT_TOL,
             "values": [
                 {
                     "re": v.real,
@@ -349,13 +343,13 @@ def _require_spectrum_input(H: UniformHypergraph) -> None:
         raise NotAHypertree("spectrum operations require a hypertree")
 
 
-def _distinct_lifts(polys, k, tol, root_tol, kept):
+def _distinct_lifts(polys, k, tol, kept):
     """Append to kept, in order, each k-th root lift of each alpha root
     of each of polys that lies farther than tol from every value kept
     before it (the first accepted wins), with its source; return kept.
     """
     for poly in polys:
-        for a, _mult in alpha_roots(poly, root_tol):
+        for a, _mult in alpha_roots(poly):
             for lam in lift_to_x(a, k):
                 if not any(abs(lam - v) <= tol for v, _ in kept):
                     kept.append((lam, SpectrumSource(poly, a)))
@@ -365,7 +359,6 @@ def _distinct_lifts(polys, k, tol, root_tol, kept):
 def set_spectrum(
     H: UniformHypergraph,
     tol: float = DEFAULT_SET_TOL,
-    root_tol: float = DEFAULT_ROOT_TOL,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
     catalog: SubtreeCatalog | None = None,
 ) -> SpectrumSet:
@@ -378,13 +371,12 @@ def set_spectrum(
     _require_spectrum_input(H)
     if catalog is None:
         catalog = distinct_matching_polynomials(H, max_subsets)
-    kept = _distinct_lifts(catalog.polys, H.k, tol, root_tol, [(0j, None)])
+    kept = _distinct_lifts(catalog.polys, H.k, tol, [(0j, None)])
     kept.sort(key=lambda item: (item[0].real, item[0].imag))
     return SpectrumSet(
         values=tuple(v for v, _ in kept),
         tol=tol,
         k=H.k,
-        root_tol=root_tol,
         sources=tuple(src for _, src in kept),
     )
 
@@ -426,11 +418,10 @@ def spectral_radius(H: UniformHypergraph) -> float:
     _require_spectrum_input(H)
     if H.m == 0:
         raise ValidationError("spectral radius needs at least one edge")
-    incident = incident_edges(H)
-    up, order = rooted_orientation(H)
+    order, children = rooted_walk(H)
 
     def above(r, num=Fraction) -> bool:
-        u = _labels(H, incident, up, order, num(r) ** H.k, lambda d: d <= 0)
+        u = _labels(order, children, num(r) ** H.k, lambda d: d <= 0)
         return u is not None and u[order[0]] < 1
 
     guess = _radius_guess(lambda r: above(r, float))
@@ -507,20 +498,19 @@ def eigen_residual(
     return worst
 
 
-def _labels(H, incident, up, order, alpha, pole):
+def _labels(order, children, alpha, pole):
     """Leaf-to-root labels u_v = (1/alpha) sum_{child e}
     prod_{c in e, c != v} 1/(1 - u_c), or None as soon as pole(1 - u_c)
-    holds.  A child with u_c = 0 (a leaf) is skipped, which is exact.
+    holds; order and children come from ``rooted_walk``.  A child with
+    u_c = 0 (a leaf) is skipped, which is exact.
     """
-    u = [0] * (H.n + 1)
+    u = [0] * len(children)
     for v in reversed(order):
         total = 0
-        for i in incident[v]:
-            if i == up[v]:
-                continue
+        for kids in children[v]:
             prod = 1
-            for c in H.edges[i]:
-                if c == v or not u[c]:
+            for c in kids:
+                if not u[c]:
                     continue
                 d = 1 - u[c]
                 if pole(d):
@@ -532,9 +522,7 @@ def _labels(H, incident, up, order, alpha, pole):
     return u
 
 
-def _leaf_to_root_eigenvector(
-    H: UniformHypergraph, lam: complex
-) -> list[complex] | None:
+def _leaf_to_root_eigenvector(order, children, k, lam) -> list[complex] | None:
     """Direct construction on the tree, or None when a pole degenerates.
 
     With y_e the product of x over e, each vertex relation reads
@@ -545,28 +533,22 @@ def _leaf_to_root_eigenvector(
     root of the matching polynomial.  Vertex values are then recovered
     top-down from the y_e.
     """
-    k = H.k
-    incident = incident_edges(H)
-    up, order = rooted_orientation(H)
-    u = _labels(H, incident, up, order, lam**k, lambda d: abs(d) < 1e-9)
+    u = _labels(order, children, lam**k, lambda d: abs(d) < 1e-9)
     if u is None:
         return None
-    x: list[complex | None] = [None] * (H.n + 1)
+    x: list[complex | None] = [None] * len(children)
     x[order[0]] = 1 + 0j
     lam_km1 = lam ** (k - 1)
     for p in order:
-        for i in incident[p]:
-            if i == up[p]:
-                continue
-            children = [c for c in H.edges[i] if c != p]
+        for kids in children[p]:
             denom = lam_km1
-            for c in children:
+            for c in kids:
                 denom *= 1 - u[c]
             if abs(denom) < 1e-14:
                 return None
             y = x[p] ** k / denom
             partial = x[p]
-            for c in children[:-1]:
+            for c in kids[:-1]:
                 val = y / (lam * (1 - u[c]))
                 if abs(val) < 1e-14:
                     return None
@@ -574,8 +556,8 @@ def _leaf_to_root_eigenvector(
                 partial *= x[c]
             if abs(partial) < 1e-14:
                 return None
-            x[children[-1]] = y / partial
-    return [x[v] for v in range(1, H.n + 1)]
+            x[kids[-1]] = y / partial
+    return x[1:]
 
 
 def zero_extend(
@@ -616,13 +598,47 @@ def find_totally_nonzero_eigenvector(
         raise ValidationError(
             "a totally nonzero eigenpair requires a nonzero eigenvalue"
         )
-    raw = _leaf_to_root_eigenvector(H, lam)
+    order, children = rooted_walk(H)
+    raw = _leaf_to_root_eigenvector(order, children, H.k, lam)
     if raw is None:
         raise NoConvergence(
             f"the leaf-to-root elimination meets a pole at lambda = {lam}"
         )
     # raw[0] is 1 already; dividing by it turns each -0.0 part into 0.0
-    x = [v / raw[0] for v in raw]
+    return _checked(H, lam, [v / raw[0] for v in raw], tol)
+
+
+def rotate_eigenpair(
+    H: UniformHypergraph,
+    pair: Eigenpair,
+    lam: complex,
+    tol: float = DEFAULT_SET_TOL,
+) -> Eigenpair:
+    """pair rotated to lam = pair.lam * zeta^b (up to rounding, zeta =
+    e^(2 pi i/k)) and checked there as find_totally_nonzero_eigenvector
+    checks.  On long paths an elimination a few ulps off a root already
+    misses tol, so rotating the pair of the real spectral radius beats
+    eliminating at its other branches.
+
+    Vertex v is multiplied by zeta^(b s(v)): s is 0 at the root, and in
+    each child edge the first child takes (1 - s(parent)) mod k and the
+    others 0.  Every edge then sums to 1 mod k, which makes the vector
+    an eigenvector for pair.lam * zeta^b.
+    """
+    k = H.k
+    b = round(k * cmath.phase(lam / pair.lam) / (2 * math.pi)) % k
+    order, children = rooted_walk(H)
+    s = [0] * len(children)
+    for p in order:
+        for kids in children[p]:
+            s[kids[0]] = (1 - s[p]) % k
+    turn = [cmath.exp(2j * cmath.pi * (b * t % k) / k) for t in range(k)]
+    return _checked(H, lam, [v * turn[t] for t, v in zip(s[1:], pair.x)], tol)
+
+
+def _checked(H, lam, x, tol) -> Eigenpair:
+    """The totally nonzero eigenpair (lam, x), or NoConvergence when x
+    has residual above tol or an entry of modulus <= tol."""
     residual = eigen_residual(H, lam, x)
     if not (residual <= tol and all(abs(v) > tol for v in x)):
         raise NoConvergence(

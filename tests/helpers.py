@@ -31,7 +31,7 @@ class Budget:
         return False
 
 
-def upper_half_plane_roots(coeffs, root_tol, rng) -> list[complex]:
+def upper_half_plane_roots(coeffs, rng) -> list[complex]:
     """Stand-in for the root refiner whose roots all lie above the real
     axis, so they contradict any Sturm count below the degree."""
     return [complex(j, 1) for j in range(len(coeffs) - 1)]

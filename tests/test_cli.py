@@ -142,6 +142,30 @@ def test_eigvec_default_is_spectral_radius_vector(capsys, tmp_path):
     assert blob["residual"] <= 1e-8
 
 
+def test_eigvec_branches_of_a_long_path_rotate_the_real_vector(capsys, tmp_path):
+    # an elimination at rho * zeta^b, some ulps off the root, left
+    # residual 1.28e-8 on branch 2 of this path
+    path = tmp_path / "p600.json"
+    path.write_text(core.dumps(core.loose_path(600, 3)))
+    _, out, _ = run(capsys, "eigvec", str(path), "--format", "json")
+    real = json.loads(out)
+    for branch in (1, 2):
+        code, out, err = run(
+            capsys, "eigvec", str(path), "--branch", str(branch), "--format", "json"
+        )
+        assert code == 0, err
+        blob = json.loads(out)
+        zeta = cmath.exp(2j * cmath.pi * branch / 3)
+        lam = real["lambda"]["re"] * zeta
+        assert blob["lambda"] == {"re": lam.real, "im": lam.imag}
+        assert blob["residual"] <= 1e-8
+        assert blob["x"][0] == {"re": 1.0, "im": 0.0}
+        moduli = [abs(complex(v["re"], v["im"])) for v in blob["x"]]
+        assert moduli == pytest.approx(
+            [abs(complex(v["re"], v["im"])) for v in real["x"]], rel=1e-12
+        )
+
+
 def test_eigvec_explicit_lambda_and_branch(capsys, tmp_path):
     path = tmp_path / "p2.json"
     path.write_text(core.dumps(core.loose_path(2, 3)))
@@ -164,6 +188,16 @@ def test_eigvec_explicit_lambda_and_branch(capsys, tmp_path):
     assert code == 2 and "re,im" in err
     code, _, err = run(capsys, "eigvec", str(path), "--branch", "7")
     assert code == 2
+    # --lam names the eigenvalue itself, so a root or branch beside it is
+    # a contradiction, not something to ignore
+    for extra, flag in (
+        (["--branch", "7", "--alpha-index", "99"], "--alpha-index"),
+        (["--branch", "0"], "--branch"),
+        (["--alpha-index", "0"], "--alpha-index"),
+    ):
+        code, out, err = run(capsys, "eigvec", str(path), "--lam=1.5,0", *extra)
+        assert code == 2 and out == "", extra
+        assert f"--lam cannot be given with {flag}" in err
     # a negative real part goes after '=', or argparse reads it as a flag
     lam = 2 ** (1 / 3) * cmath.exp(2j * cmath.pi / 3)
     code, out, _ = run(
@@ -213,6 +247,8 @@ def test_identical_invocations_are_byte_identical(capsys, tmp_path):
     _, a, _ = run(capsys, "spectrum", path, "--format", "json")
     _, b, _ = run(capsys, "spectrum", path, "--format", "json")
     assert a == b
+    # the fixed residual target of the root refinement is still reported
+    assert json.loads(a)["root_tol"] == 1e-12
 
 
 def test_generator_roundtrip_never_errors(capsys, tmp_path, monkeypatch):
@@ -288,10 +324,8 @@ def test_tolerances_must_be_finite_and_positive(capsys, tmp_path):
     path = write_h3(tmp_path)
     for verb, flag in (
         ("spectrum", "--tol"),
-        ("spectrum", "--root-tol"),
-        ("eigvec", "--root-tol"),
+        ("eigvec", "--tol"),
         ("check-paper", "--tol"),
-        ("check-paper", "--root-tol"),
     ):
         head = [verb] if verb == "check-paper" else [verb, path]
         for value in ("-1", "0", "nan"):
@@ -328,7 +362,7 @@ def test_cycle_input_exits_2(capsys, tmp_path):
 
 
 COMMON_FLAGS = {"--tol", "--root-tol", "--seed", "--format", "--max-subsets"}
-NUMERIC = {"--tol", "--root-tol"}
+NUMERIC = {"--tol"}
 VERB_FLAGS = {
     "gen": {"--seed"},
     "matchpoly": {"--format"},

@@ -436,7 +436,7 @@ def test_root_refinement_budget_is_enforced():
     from htspec.spectra import _aberth
 
     with pytest.raises(DidNotConverge):
-        _aberth([-1.0, 3.0, -4.0, 1.0], 1e-12, random.Random(1), max_iter=1)
+        _aberth([-1.0, 3.0, -4.0, 1.0], random.Random(1), max_iter=1)
 
 
 def test_witness_extension_into_host():

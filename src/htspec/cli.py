@@ -16,6 +16,7 @@ import cmath
 import csv
 import json
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -397,7 +398,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point the descriptor at devnull
+        # so that the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

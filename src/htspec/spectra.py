@@ -19,6 +19,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
 
@@ -271,6 +272,10 @@ class SpectrumSet:
     """Deduplicated eigenvalue set with the tolerances that shaped it.
 
     ``sources`` gives each value's provenance, or is empty for none.
+    ``tol`` must be finite and > 0.  The first read builds a grid index
+    over the values in O(V).  On values more than ``tol`` apart, as
+    ``set_spectrum`` keeps them, ``contains`` then costs O(1) and
+    ``rotation_symmetric`` O(kV).
     """
 
     values: tuple[complex, ...]
@@ -279,6 +284,7 @@ class SpectrumSet:
     sources: tuple[SpectrumSource | None, ...] = ()
 
     def __post_init__(self):
+        _require_tol(self.tol)
         if self.sources and len(self.sources) != len(self.values):
             raise ValidationError(
                 f"{len(self.sources)} sources for {len(self.values)} values"
@@ -287,8 +293,28 @@ class SpectrumSet:
     def _sourced(self):
         return zip(self.values, self.sources or repeat(None))
 
+    @cached_property
+    def _grid(self) -> dict[tuple[float, float], list[complex]]:
+        # Cells of side 2*tol: a value within tol of z lies in z's cell or
+        # one of its eight neighbours.  The cache sits in the instance
+        # __dict__, not in a field, so ==, hash and repr ignore it.
+        side = 2 * self.tol
+        grid: dict[tuple[float, float], list[complex]] = {}
+        for v in self.values:
+            grid.setdefault((v.real // side, v.imag // side), []).append(v)
+        return grid
+
     def contains(self, z: complex) -> bool:
-        return any(abs(z - v) <= self.tol for v in self.values)
+        """Whether some value lies within ``tol`` of z."""
+        tol = self.tol
+        grid = self._grid
+        re, im = z.real // (2 * tol), z.imag // (2 * tol)
+        return any(
+            abs(z - v) <= tol
+            for dre in (-1, 0, 1)
+            for dim in (-1, 0, 1)
+            for v in grid.get((re + dre, im + dim), ())
+        )
 
     def nonzero_values(self) -> tuple[complex, ...]:
         return tuple(v for v in self.values if abs(v) > self.tol)
@@ -334,6 +360,11 @@ class SpectrumSet:
         return rows
 
 
+def _require_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def _require_spectrum_input(H: UniformHypergraph) -> None:
     if H.k == 2:
         raise UniformityTwoUnsupported(
@@ -368,6 +399,7 @@ def set_spectrum(
     The result is closed under multiplication by k-th roots of unity
     because lifts always arrive in complete families.
     """
+    _require_tol(tol)
     _require_spectrum_input(H)
     if catalog is None:
         catalog = distinct_matching_polynomials(H, max_subsets)

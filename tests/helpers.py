@@ -31,6 +31,12 @@ class Budget:
         return False
 
 
+def linear_contains(values, tol, z) -> bool:
+    """Membership by a scan of every value: the reference that
+    SpectrumSet.contains must agree with on every probe."""
+    return any(abs(z - v) <= tol for v in values)
+
+
 def upper_half_plane_roots(coeffs, rng) -> list[complex]:
     """Stand-in for the root refiner whose roots all lie above the real
     axis, so they contradict any Sturm count below the degree."""

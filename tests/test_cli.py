@@ -411,3 +411,26 @@ def test_import_loads_no_numpy():
         check=True,
     ).stdout
     assert out == "False\n"
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    import htspec
+
+    src = os.path.dirname(os.path.dirname(htspec.__file__))
+    path = tmp_path / "path.json"
+    path.write_text(core.dumps(core.loose_path(1000, 3)))
+    # About 80 KB of vector lines, more than a 64 KiB pipe buffer holds,
+    # so the writer is still printing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "htspec", "eigvec", str(path)],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline().startswith("lambda = ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err, err

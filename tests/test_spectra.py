@@ -6,6 +6,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from htspec import (
@@ -30,6 +32,7 @@ from htspec import (
     spectral_radius,
     star,
 )
+from htspec import spectra
 from htspec.errors import (
     DimensionMismatch,
     NotAHypertree,
@@ -203,6 +206,80 @@ def test_spectrum_set_without_sources_keeps_its_values():
     ]
     with pytest.raises(ValidationError, match="1 sources for 2 values"):
         SpectrumSet(values=(0j, 1 + 0j), tol=1e-8, k=3, sources=(None,))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, -0.0, math.nan, math.inf, -math.inf])
+def test_tol_must_be_finite_and_positive(monkeypatch, tol):
+    with pytest.raises(ValidationError, match="tol"):
+        SpectrumSet(values=(0j, 1 + 0j), tol=tol, k=3)
+
+    def no_catalog(*args):
+        raise AssertionError("catalog built before tol was checked")
+
+    monkeypatch.setattr(spectra, "distinct_matching_polynomials", no_catalog)
+    with pytest.raises(ValidationError, match="tol"):
+        set_spectrum(build(3, 3, [[1, 2, 3]]), tol=tol)
+
+
+EDGE = 2.0**-52
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e-12, 1e-8, 1e-3, 10.0])
+@settings(max_examples=60, deadline=None)
+@given(
+    scale=st.sampled_from(["tol", 1.0, 1e10]),
+    points=st.lists(
+        st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=1, max_size=25
+    ),
+    k=st.integers(3, 5),
+    angles=st.lists(st.floats(0, 2 * math.pi), min_size=1, max_size=4),
+)
+def test_contains_agrees_with_the_linear_scan(tol, scale, points, k, angles):
+    size = tol if scale == "tol" else scale
+    values = tuple(complex(a, b) * size for a, b in points)
+    s = SpectrumSet(values=values, tol=tol, k=k)
+    centres = [
+        v * cmath.exp(2j * cmath.pi * j / k) for v in values for j in range(k)
+    ]
+    probes = list(centres)
+    for c in centres:
+        for theta in [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, *angles]:
+            for r in (1 - EDGE, 1.0, 1 + EDGE, 2.0):
+                probes.append(c + tol * r * cmath.exp(1j * theta))
+    for z in probes:
+        assert s.contains(z) == helpers.linear_contains(values, tol, z), z
+    inf, nan = math.inf, math.nan
+    for re, im in ((nan, 0), (0, nan), (nan, nan), (inf, 0), (0, -inf), (-inf, inf)):
+        assert s.contains(complex(re, im)) is False
+
+
+def test_rotation_symmetric_fails_on_a_missing_or_moved_copy():
+    tol = 1e-8
+    assert SpectrumSet((0j, 1 + 0j), tol, 3).rotation_symmetric() is False
+    values = [0j, *lift_to_x(1 + 0j, 3), *lift_to_x(-2 + 1j, 3)]
+    assert SpectrumSet(tuple(values), tol, 3).rotation_symmetric() is True
+    for shift, symmetric in ((1.5 * tol, False), (0.5 * tol, True)):
+        moved = list(values)
+        moved[-1] += shift
+        assert SpectrumSet(tuple(moved), tol, 3).rotation_symmetric() is symmetric
+
+
+def test_spectrum_reads_within_budget():
+    s = set_spectrum(random_hypertree(14, 3, random.Random(1)))
+    assert len(s.values) == 1546
+    rng = random.Random(2)
+    zeta = cmath.exp(2j * cmath.pi / 3)
+    probes = [
+        rng.choice(s.values) * zeta ** rng.randrange(3)
+        + 2 * s.tol * rng.random() * cmath.exp(2j * cmath.pi * rng.random())
+        for _ in range(10_000)
+    ]
+    with helpers.Budget("rotation_symmetric + 10,000 contains, 1,546 values", 0.5):
+        symmetric = s.rotation_symmetric()
+        answers = [s.contains(z) for z in probes]
+    assert symmetric
+    for z, got in list(zip(probes, answers))[::20]:
+        assert got == helpers.linear_contains(s.values, s.tol, z)
 
 
 def test_rotation_symmetry_of_spectra():

@@ -19,7 +19,13 @@ from . import _ratpoly as _rp
 from .core import UniformHypergraph, build, comb
 from .errors import MismatchReport, UnknownFixture, ValidationError
 from .matching import AlphaPolynomial, alpha_poly, alpha_str, x_str
-from .spectra import DEFAULT_SET_TOL, _distinct_lifts, set_spectrum
+from .spectra import (
+    DEFAULT_SET_TOL,
+    _distinct_lifts,
+    _lifts,
+    _require_tol,
+    set_spectrum,
+)
 from .subtrees import distinct_matching_polynomials
 
 FIXTURE_NAMES = ("H1", "H2", "H3")
@@ -179,7 +185,11 @@ def spectrum_crosscheck(name: str, tol: float = DEFAULT_SET_TOL) -> CrosscheckRe
         bases exactly (integer coefficients).
     (b) The nonzero roots of the factored polynomial must equal the
         computed set spectrum minus 0, within ``tol``.
+
+    ValidationError, before any catalog is built, unless tol is finite
+    and > 0.
     """
+    _require_tol(tol)
     f = fixture(name)
     H = hypergraph(name)
     catalog = distinct_matching_polynomials(H)
@@ -194,7 +204,7 @@ def spectrum_crosscheck(name: str, tol: float = DEFAULT_SET_TOL) -> CrosscheckRe
             got=[alpha_str(p) for p in catalog.polys],
         )
     spectrum = set_spectrum(H, tol, catalog=catalog)
-    kept = _distinct_lifts((b for b, _ in f.factors), f.k, tol, [])
+    kept = _distinct_lifts(_lifts((b for b, _ in f.factors), f.k), tol, [])
     fixture_roots = [lam for lam, _ in kept]
     computed = list(spectrum.nonzero_values())
     worst = 0.0

@@ -267,15 +267,48 @@ class SpectrumSource:
     alpha: complex
 
 
+class _TolGrid:
+    """Values filed in square cells of side 2*tol.  A value within tol of
+    z lies in z's cell or one of its eight neighbours, so ``near`` gives
+    the answer of ``any(abs(z - v) <= tol for v in values)`` from nine
+    cells: O(1) expected when the values lie more than tol apart.
+    """
+
+    __slots__ = ("tol", "cells")
+
+    def __init__(self, tol: float, values):
+        self.tol = tol
+        self.cells: dict[tuple[float, float], list[complex]] = {}
+        for v in values:
+            self.add(v)
+
+    def _cell(self, z: complex) -> tuple[float, float]:
+        side = 2 * self.tol
+        return z.real // side, z.imag // side
+
+    def add(self, v: complex) -> None:
+        self.cells.setdefault(self._cell(v), []).append(v)
+
+    def near(self, z: complex) -> bool:
+        tol, cells = self.tol, self.cells
+        re, im = self._cell(z)
+        for dre in (-1, 0, 1):
+            for dim in (-1, 0, 1):
+                for v in cells.get((re + dre, im + dim), ()):
+                    if abs(z - v) <= tol:
+                        return True
+        return False
+
+
 @dataclass(frozen=True)
 class SpectrumSet:
     """Deduplicated eigenvalue set with the tolerances that shaped it.
 
     ``sources`` gives each value's provenance, or is empty for none.
     ``tol`` must be finite and > 0.  The first read builds a grid index
-    over the values in O(V).  On values more than ``tol`` apart, as
-    ``set_spectrum`` keeps them, ``contains`` then costs O(1) and
-    ``rotation_symmetric`` O(kV).
+    over the values in O(V), the same index ``set_spectrum`` dedups
+    with.  On values more than ``tol`` apart, as ``set_spectrum`` keeps
+    them, ``contains`` then costs O(1) and ``rotation_symmetric`` O(kV).
     """
 
     values: tuple[complex, ...]
@@ -294,27 +327,14 @@ class SpectrumSet:
         return zip(self.values, self.sources or repeat(None))
 
     @cached_property
-    def _grid(self) -> dict[tuple[float, float], list[complex]]:
-        # Cells of side 2*tol: a value within tol of z lies in z's cell or
-        # one of its eight neighbours.  The cache sits in the instance
-        # __dict__, not in a field, so ==, hash and repr ignore it.
-        side = 2 * self.tol
-        grid: dict[tuple[float, float], list[complex]] = {}
-        for v in self.values:
-            grid.setdefault((v.real // side, v.imag // side), []).append(v)
-        return grid
+    def _grid(self) -> _TolGrid:
+        # The cache sits in the instance __dict__, not in a field, so ==,
+        # hash and repr ignore it.
+        return _TolGrid(self.tol, self.values)
 
     def contains(self, z: complex) -> bool:
         """Whether some value lies within ``tol`` of z."""
-        tol = self.tol
-        grid = self._grid
-        re, im = z.real // (2 * tol), z.imag // (2 * tol)
-        return any(
-            abs(z - v) <= tol
-            for dre in (-1, 0, 1)
-            for dim in (-1, 0, 1)
-            for v in grid.get((re + dre, im + dim), ())
-        )
+        return self._grid.near(z)
 
     def nonzero_values(self) -> tuple[complex, ...]:
         return tuple(v for v in self.values if abs(v) > self.tol)
@@ -374,16 +394,30 @@ def _require_spectrum_input(H: UniformHypergraph) -> None:
         raise NotAHypertree("spectrum operations require a hypertree")
 
 
-def _distinct_lifts(polys, k, tol, kept):
-    """Append to kept, in order, each k-th root lift of each alpha root
-    of each of polys that lies farther than tol from every value kept
-    before it (the first accepted wins), with its source; return kept.
-    """
+def _lifts(polys, k):
+    """Each k-th root lift of each alpha root of each of polys, in that
+    order, paired with its source."""
     for poly in polys:
         for a, _mult in alpha_roots(poly):
+            source = SpectrumSource(poly, a)
             for lam in lift_to_x(a, k):
-                if not any(abs(lam - v) <= tol for v, _ in kept):
-                    kept.append((lam, SpectrumSource(poly, a)))
+                yield lam, source
+
+
+def _distinct_lifts(lifts, tol, kept):
+    """Append to kept, in order, each (value, source) of lifts whose
+    value lies farther than tol from every value kept before it (the
+    first accepted wins); return kept.
+
+    The kept values are filed in the ``_TolGrid`` that ``SpectrumSet``
+    reads, so each test costs O(1) expected and V lifts O(V), with the
+    decisions of a scan of every kept value.
+    """
+    grid = _TolGrid(tol, (v for v, _ in kept))
+    for lam, source in lifts:
+        if not grid.near(lam):
+            grid.add(lam)
+            kept.append((lam, source))
     return kept
 
 
@@ -396,14 +430,18 @@ def set_spectrum(
     """The eigenvalue set of H: {0} plus k-th-root lifts of every alpha
     root of every cataloged subtree polynomial, deduplicated at ``tol``.
 
-    The result is closed under multiplication by k-th roots of unity
+    Lifts are taken in catalog order, and one within ``tol`` of a value
+    already kept is dropped, so the first accepted wins and keeps its
+    source.  The dedup runs on the grid index ``SpectrumSet.contains``
+    reads: O(V) expected over the lifts, after the root solves.  The
+    result is closed under multiplication by k-th roots of unity
     because lifts always arrive in complete families.
     """
     _require_tol(tol)
     _require_spectrum_input(H)
     if catalog is None:
         catalog = distinct_matching_polynomials(H, max_subsets)
-    kept = _distinct_lifts(catalog.polys, H.k, tol, [(0j, None)])
+    kept = _distinct_lifts(_lifts(catalog.polys, H.k), tol, [(0j, None)])
     kept.sort(key=lambda item: (item[0].real, item[0].imag))
     return SpectrumSet(
         values=tuple(v for v, _ in kept),
@@ -623,8 +661,10 @@ def find_totally_nonzero_eigenvector(
     subtrees.  NoConvergence, naming which, when the elimination meets a
     pole or when its vector has residual above tol or an entry of
     modulus <= tol; a lam that is not a root of the matching polynomial
-    ends in one of the two.
+    ends in one of the two.  ValidationError unless tol is finite and
+    > 0.
     """
+    _require_tol(tol)
     _require_spectrum_input(H)
     if abs(lam) <= tol:
         raise ValidationError(
@@ -657,6 +697,7 @@ def rotate_eigenpair(
     others 0.  Every edge then sums to 1 mod k, which makes the vector
     an eigenvector for pair.lam * zeta^b.
     """
+    _require_tol(tol)
     k = H.k
     b = round(k * cmath.phase(lam / pair.lam) / (2 * math.pi)) % k
     order, children = rooted_walk(H)

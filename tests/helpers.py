@@ -37,6 +37,17 @@ def linear_contains(values, tol, z) -> bool:
     return any(abs(z - v) <= tol for v in values)
 
 
+def scan_distinct_lifts(lifts, tol, kept):
+    """Dedup by a scan of every kept value: append to kept, in order,
+    each (value, tag) of lifts farther than tol from every value kept
+    before it.  The reference that spectra._distinct_lifts must agree
+    with, value for value and tag for tag."""
+    for lam, tag in lifts:
+        if not any(abs(lam - v) <= tol for v, _ in kept):
+            kept.append((lam, tag))
+    return kept
+
+
 def upper_half_plane_roots(coeffs, rng) -> list[complex]:
     """Stand-in for the root refiner whose roots all lie above the real
     axis, so they contradict any Sturm count below the degree."""

@@ -1,5 +1,6 @@
 """Built-in reference factorizations and the validation probes."""
 
+import math
 import random
 
 import pytest
@@ -66,6 +67,18 @@ def test_spectrum_crosscheck_passes():
         report = spectrum_crosscheck(name, tol=1e-8)
         assert report.max_root_deviation <= 1e-8
         assert report.bases == report.catalog_polys
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, -0.0, math.nan, math.inf, -math.inf])
+def test_crosscheck_checks_tol_before_the_catalog(monkeypatch, tol):
+    import htspec.fixtures as fx
+
+    def no_catalog(*args):
+        raise AssertionError("catalog built before tol was checked")
+
+    monkeypatch.setattr(fx, "distinct_matching_polynomials", no_catalog)
+    with pytest.raises(ValidationError, match="tol"):
+        spectrum_crosscheck("H1", tol=tol)
 
 
 def tamper_h1(monkeypatch):

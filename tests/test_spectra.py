@@ -28,6 +28,7 @@ from htspec import (
     poly_mul,
     power,
     random_hypertree,
+    rotate_eigenpair,
     set_spectrum,
     spectral_radius,
     star,
@@ -282,6 +283,53 @@ def test_spectrum_reads_within_budget():
         assert got == helpers.linear_contains(s.values, s.tol, z)
 
 
+@pytest.mark.parametrize("tol", [1e-300, 1e-8, 10.0])
+@settings(max_examples=60, deadline=None)
+@given(
+    scale=st.sampled_from(["tol", 1.0, 1e10]),
+    centres=st.lists(
+        st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ),
+    steps=st.lists(
+        st.sampled_from([1 - EDGE, 1.0, 1 + EDGE]), min_size=2, max_size=3
+    ),
+    angles=st.lists(st.floats(0, 2 * math.pi), min_size=1, max_size=2),
+    order=st.randoms(use_true_random=False),
+)
+def test_distinct_lifts_agrees_with_the_scan(tol, scale, centres, steps, angles, order):
+    size = tol if scale == "tol" else scale
+    side = 2 * tol
+    values = []
+    for a, b, snap in centres:
+        c = complex(a, b) * size
+        if snap and math.isfinite(c.real // side) and math.isfinite(c.imag // side):
+            # a cell corner, so the copies around it fall into four cells
+            c = complex(c.real // side * side, c.imag // side * side)
+        values.append(c)
+        for theta in [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, *angles]:
+            for r in (1 - EDGE, 1.0, 1 + EDGE):
+                values.append(c + tol * r * cmath.exp(1j * theta))
+        # a chain: each link within tol of the next, the ends farther apart
+        u, link = cmath.exp(1j * angles[0]), c
+        for r in steps:
+            link += tol * r * u
+            values.append(link)
+    order.shuffle(values)
+    lifts = [(v, i) for i, v in enumerate(values)]
+    start = [(0j, None)]
+    got = spectra._distinct_lifts(iter(lifts), tol, list(start))
+    assert got == helpers.scan_distinct_lifts(lifts, tol, list(start))
+
+
+def test_spectrum_assembly_within_budget():
+    H = random_hypertree(18, 3, random.Random(1))
+    with helpers.Budget("set_spectrum, random m = 18, 10,534 values", 3.0):
+        s = set_spectrum(H)
+    assert len(s.values) == 10534
+
+
 def test_rotation_symmetry_of_spectra():
     rng = random.Random(67)
     hosts = [hypergraph(n) for n in ("H1", "H2", "H3")]
@@ -488,6 +536,21 @@ def test_find_eigenvector_complex_lambda():
 def test_find_eigenvector_rejects_zero():
     with pytest.raises(ValidationError):
         find_totally_nonzero_eigenvector(comb(3), 0j)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, -0.0, math.nan, math.inf, -math.inf])
+def test_eigenpair_calls_check_tol_first(monkeypatch, tol):
+    H = build(3, 3, [[1, 2, 3]])
+    pair = find_totally_nonzero_eigenvector(H, 1 + 0j)
+
+    def no_walk(*args):
+        raise AssertionError("tree walked before tol was checked")
+
+    monkeypatch.setattr(spectra, "rooted_walk", no_walk)
+    with pytest.raises(ValidationError, match="tol"):
+        find_totally_nonzero_eigenvector(H, 1 + 0j, tol=tol)
+    with pytest.raises(ValidationError, match="tol"):
+        rotate_eigenpair(H, pair, lift_to_x(1 + 0j, 3)[1], tol=tol)
 
 
 def test_find_eigenvector_fails_for_non_eigenvalue():

@@ -92,7 +92,7 @@ def _cmd_matchpoly(args) -> int:
             json.dumps(
                 {
                     "counts": [str(c) for c in counts.counts],
-                    "alpha_coeffs": matching.poly_to_json(phi)["alpha_coeffs"],
+                    "alpha_coeffs": matching.poly_to_json(phi),
                     "alpha": matching.alpha_str(phi),
                     "x": matching.x_str(phi, H.k),
                 }

@@ -59,10 +59,15 @@ class AlphaPolynomial:
 
     def __call__(self, z):
         """Evaluate by Horner; works for exact and complex arguments."""
-        acc = 0 * z
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return horner(self.coeffs, z)
+
+
+def horner(coeffs: Sequence, z):
+    """Little-endian coeffs at z by Horner, in the arithmetic of z."""
+    acc = 0 * z
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
 
 def alpha_poly(coeffs: Iterable[int]) -> AlphaPolynomial:
@@ -162,9 +167,9 @@ def x_str(p: AlphaPolynomial, k: int) -> str:
     return _terms_str(items, "x")
 
 
-def poly_to_json(p: AlphaPolynomial) -> dict:
+def poly_to_json(p: AlphaPolynomial) -> list[str]:
     """JSON form: little-endian decimal strings."""
-    return {"alpha_coeffs": [str(c) for c in p.coeffs]}
+    return [str(c) for c in p.coeffs]
 
 
 # -- matching count computation ----------------------------------------------

@@ -39,6 +39,7 @@ from .matching import (
     alpha_poly,
     alpha_str,
     count_distinct_real_roots,
+    horner,
 )
 from .subtrees import DEFAULT_MAX_SUBSETS, SubtreeCatalog, distinct_matching_polynomials
 
@@ -84,13 +85,6 @@ def squarefree_decomposition(
 # -- simultaneous root refinement ------------------------------------------------
 
 
-def _horner(coeffs: list[complex], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def _aberth(
     coeffs: list[float],
     rng: random.Random,
@@ -133,11 +127,11 @@ def _aberth(
     for _ in range(max_iter):
         converged = True
         for i in range(deg):
-            pv = _horner(coeffs, z[i])
+            pv = horner(coeffs, z[i])
             if abs(pv) <= 0.01 * target(z[i]):
                 continue
             converged = False
-            dv = _horner(deriv, z[i])
+            dv = horner(deriv, z[i])
             if dv == 0:
                 z[i] += (1e-6 + 1e-6j) * (1.0 + abs(z[i]))
                 continue
@@ -163,10 +157,10 @@ def _aberth(
     # final Newton polish tightens to machine precision
     for i in range(deg):
         for _ in range(3):
-            dv = _horner(deriv, z[i])
+            dv = horner(deriv, z[i])
             if dv == 0:
                 break
-            z[i] -= _horner(coeffs, z[i]) / dv
+            z[i] -= horner(coeffs, z[i]) / dv
     return z
 
 
@@ -385,6 +379,11 @@ def _require_tol(tol: float) -> None:
         raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
 
 
+def _require_finite_lam(lam: complex) -> None:
+    if not cmath.isfinite(lam):
+        raise ValidationError(f"lambda must be finite, got {lam!r}")
+
+
 def _require_spectrum_input(H: UniformHypergraph) -> None:
     if H.k == 2:
         raise UniformityTwoUnsupported(
@@ -549,7 +548,8 @@ class Eigenpair:
 def eigen_residual(
     H: UniformHypergraph, lam: complex, x: list[complex] | tuple[complex, ...]
 ) -> float:
-    """Max over vertices of |sum of incident edge products - lam x_j^(k-1)|."""
+    """Max over vertices of |sum of incident edge products - lam x_j^(k-1)|;
+    nan as soon as one vertex gives nan."""
     if len(x) != H.n:
         raise DimensionMismatch(f"vector length {len(x)} != n = {H.n}")
     worst = 0.0
@@ -563,6 +563,8 @@ def eigen_residual(
             sums[j] += prod
     for j in range(1, H.n + 1):
         r = abs(sums[j] - lam * x[j - 1] ** (H.k - 1))
+        if math.isnan(r):
+            return r
         if r > worst:
             worst = r
     return worst
@@ -661,10 +663,11 @@ def find_totally_nonzero_eigenvector(
     subtrees.  NoConvergence, naming which, when the elimination meets a
     pole or when its vector has residual above tol or an entry of
     modulus <= tol; a lam that is not a root of the matching polynomial
-    ends in one of the two.  ValidationError unless tol is finite and
-    > 0.
+    ends in one of the two.  ValidationError unless tol and lam are
+    finite and tol > 0.
     """
     _require_tol(tol)
+    _require_finite_lam(lam)
     _require_spectrum_input(H)
     if abs(lam) <= tol:
         raise ValidationError(
@@ -695,9 +698,11 @@ def rotate_eigenpair(
     Vertex v is multiplied by zeta^(b s(v)): s is 0 at the root, and in
     each child edge the first child takes (1 - s(parent)) mod k and the
     others 0.  Every edge then sums to 1 mod k, which makes the vector
-    an eigenvector for pair.lam * zeta^b.
+    an eigenvector for pair.lam * zeta^b.  ValidationError unless tol
+    and lam are finite and tol > 0.
     """
     _require_tol(tol)
+    _require_finite_lam(lam)
     k = H.k
     b = round(k * cmath.phase(lam / pair.lam) / (2 * math.pi)) % k
     order, children = rooted_walk(H)

@@ -77,13 +77,11 @@ class SubtreeCatalog:
             "subtrees": [
                 {
                     "edges": list(s.indices),
-                    "phi_alpha": poly_to_json(self.polys[p])["alpha_coeffs"],
+                    "phi_alpha": poly_to_json(self.polys[p]),
                 }
                 for s, p in zip(self.subsets, self.poly_of_subset)
             ],
-            "distinct_polys": [
-                poly_to_json(p)["alpha_coeffs"] for p in self.polys
-            ],
+            "distinct_polys": [poly_to_json(p) for p in self.polys],
         }
 
 
@@ -181,27 +179,18 @@ def distinct_matching_polynomials(
     ``_subset_counts``).  The work is a few bitmask operations and
     convolutions per subset, so the catalog's cost follows its size,
     which is exponential in m on bushy trees and quadratic on paths.
+    The count tuple is the dedup key: it and the alpha polynomial
+    determine each other, so each distinct tuple is converted once.
     Vertex-only subtrees (polynomial 1, no roots) are not represented.
     """
     subsets = connected_edge_subsets(H, max_subsets)
-    poly_index: dict[AlphaPolynomial, int] = {}
-    polys: list[AlphaPolynomial] = []
-    assignment: list[int] = []
-    for counts in _subset_counts(subsets, edge_adjacency_masks(H)):
-        phi = to_alpha_poly(MatchingCounts(counts))
-        idx = poly_index.get(phi)
-        if idx is None:
-            idx = len(polys)
-            poly_index[phi] = idx
-            polys.append(phi)
-        assignment.append(idx)
-    order = sorted(range(len(polys)), key=lambda i: (polys[i].degree, polys[i].coeffs))
-    rank = [0] * len(polys)
-    for new_pos, old_pos in enumerate(order):
-        rank[old_pos] = new_pos
+    counts = _subset_counts(subsets, edge_adjacency_masks(H))
+    poly = {c: to_alpha_poly(MatchingCounts(c)) for c in set(counts)}
+    order = sorted(poly, key=lambda c: (poly[c].degree, poly[c].coeffs))
+    rank = {c: i for i, c in enumerate(order)}
     return SubtreeCatalog(
         host=H,
         subsets=tuple(subsets),
-        polys=tuple(polys[i] for i in order),
-        poly_of_subset=tuple(rank[i] for i in assignment),
+        polys=tuple(poly[c] for c in order),
+        poly_of_subset=tuple(rank[c] for c in counts),
     )

@@ -210,6 +210,21 @@ def test_eigvec_explicit_lambda_and_branch(capsys, tmp_path):
     assert blob["residual"] <= 1e-8
 
 
+def test_eigvec_non_finite_lambda_exits_2_and_nan_residual_exits_3(
+    capsys, tmp_path
+):
+    path = tmp_path / "comb3.json"
+    path.write_text(core.dumps(core.comb(3)))
+    for lam in ("nan,0", "inf,0", "0,-inf"):
+        code, out, err = run(capsys, "eigvec", str(path), f"--lam={lam}")
+        assert code == 2 and out == "", lam
+        assert "lambda must be finite" in err, lam
+    # a finite lambda whose powers overflow gives a nan residual, not 0
+    code, out, err = run(capsys, "eigvec", str(path), "--lam=1e308,1e308")
+    assert code == 3 and out == ""
+    assert "residual nan" in err
+
+
 def test_subtrees_and_eigvec_text_output(capsys, tmp_path):
     path = tmp_path / "p2.json"
     path.write_text(core.dumps(core.loose_path(2, 3)))

@@ -553,6 +553,36 @@ def test_eigenpair_calls_check_tol_first(monkeypatch, tol):
         rotate_eigenpair(H, pair, lift_to_x(1 + 0j, 3)[1], tol=tol)
 
 
+def test_nan_residual_is_not_zero():
+    H = comb(3)
+    assert math.isnan(eigen_residual(H, 1 + 0j, [math.nan] * 9))
+    assert math.isnan(eigen_residual(H, complex(math.nan), [1] * 9))
+    # one nan vertex among finite ones, whichever comes first
+    for j in (0, 8):
+        x = [1.0] * 9
+        x[j] = math.nan
+        assert math.isnan(eigen_residual(H, 1 + 0j, x))
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0),
+     complex(1, -math.inf)],
+)
+def test_eigenpair_calls_reject_a_non_finite_lambda_first(monkeypatch, lam):
+    H = build(3, 3, [[1, 2, 3]])
+    pair = find_totally_nonzero_eigenvector(H, 1 + 0j)
+
+    def no_walk(*args):
+        raise AssertionError("tree walked before lambda was checked")
+
+    monkeypatch.setattr(spectra, "rooted_walk", no_walk)
+    with pytest.raises(ValidationError, match="lambda must be finite"):
+        find_totally_nonzero_eigenvector(H, lam)
+    with pytest.raises(ValidationError, match="lambda must be finite"):
+        rotate_eigenpair(H, pair, lam)
+
+
 def test_find_eigenvector_fails_for_non_eigenvalue():
     from htspec.errors import NoConvergence
 

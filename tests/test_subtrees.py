@@ -17,10 +17,13 @@ from htspec import (
     loose_path,
     matching_counts_tree,
     pendant_edges,
+    power,
     random_hypertree,
+    star,
     subtree_hypergraph,
     to_alpha_poly,
 )
+from htspec import subtrees
 from htspec.core import vertex_union
 from htspec.errors import CatalogTooLarge, NotAHypertree
 from htspec.fixtures import hypergraph
@@ -164,14 +167,32 @@ def test_catalog_polys_match_per_subset_dp():
     rng = random.Random(59)
     hosts = [random_hypertree(6, 3, rng)]
     hosts += [random_hypertree(rng.randint(7, 10), k, rng) for k in (3, 4, 3, 4)]
+    hosts += [star(12, 3), power(random_hypertree(9, 2, rng), 3)]
     for H in hosts:
         catalog = distinct_matching_polynomials(H)
+        witnesses = [
+            {catalog.subsets[j].indices for j in catalog.witnesses(idx)}
+            for idx in range(len(catalog.polys))
+        ]
         for F, idx in zip(catalog.subsets, catalog.poly_of_subset):
             sub = subtree_hypergraph(H, F)
             assert to_alpha_poly(matching_counts_tree(sub)) == catalog.polys[idx]
-            assert F.indices in {
-                catalog.subsets[j].indices for j in catalog.witnesses(idx)
-            }
+            assert F.indices in witnesses[idx]
+
+
+def test_catalog_converts_each_distinct_count_tuple_once(monkeypatch):
+    calls = []
+    convert = subtrees.to_alpha_poly
+
+    def counted(c):
+        calls.append(c.counts)
+        return convert(c)
+
+    monkeypatch.setattr(subtrees, "to_alpha_poly", counted)
+    catalog = distinct_matching_polynomials(star(12, 3))
+    assert len(catalog.subsets) == 4095
+    assert len(catalog.polys) == 12
+    assert len(calls) == 12 == len(set(calls))
 
 
 def test_catalog_json_shape():

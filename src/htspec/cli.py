@@ -31,13 +31,15 @@ _GEN_USAGE = (
 
 
 def _read_hypergraph(path: str) -> core.UniformHypergraph:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        p = Path(path)
-        if not p.exists():
-            raise ValidationError(f"no such file: {path}")
-        text = p.read_text()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ValidationError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
     return core.loads(text)
 
 

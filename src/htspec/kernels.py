@@ -1,7 +1,8 @@
-"""Bitmask kernels: subset enumeration and the brute-force matching oracle.
+"""The brute-force matching oracle, a bitmask backtracking loop.
 
 Masks are plain ints, one bit per edge index, so there is no size limit
-beyond the caller's caps.
+beyond the caller's edge limit.  The library's own counts come from the
+leaf-to-root recurrence in ``matching``; this loop checks them.
 """
 
 from __future__ import annotations
@@ -39,40 +40,3 @@ def count_matchings(conflicts: Sequence[int]) -> list[int]:
 
     rec((1 << m) - 1, 0)
     return counts
-
-
-def connected_subset_masks(adjacency: Sequence[int], cap: int) -> list[int]:
-    """Enumerate all nonempty connected edge subsets as bitmasks.
-
-    ``adjacency[i]`` is the bitmask of edges sharing a vertex with edge
-    ``i`` (bit ``i`` itself clear).  Each connected subset is produced
-    exactly once, anchored at its minimum edge index: the growth only
-    ever adds higher indices, and a per-level forbidden mask stops a
-    candidate reappearing through a different extension order.  The
-    growth walks an explicit stack of (subset, extension, forbidden)
-    frames, so its depth is not bounded by the interpreter's recursion
-    limit.
-
-    Raises OverflowError as soon as more than ``cap`` subsets exist.
-    """
-    out: list[int] = []
-    for anchor in range(len(adjacency)):
-        allowed = ~((1 << (anchor + 1)) - 1)  # indices strictly above anchor
-        out.append(1 << anchor)
-        stack = [(1 << anchor, adjacency[anchor] & allowed, 0)]
-        while stack:
-            if len(out) > cap:
-                raise OverflowError("connected subset cap exceeded")
-            subset, ext, forbidden = stack[-1]
-            if not ext:
-                stack.pop()
-                continue
-            bit = ext & -ext
-            ext ^= bit
-            stack[-1] = (subset, ext, forbidden | bit)
-            fresh = adjacency[bit.bit_length() - 1] & allowed & ~(
-                subset | bit | forbidden | ext
-            )
-            out.append(subset | bit)
-            stack.append((subset | bit, ext | fresh, forbidden))
-    return out

@@ -201,21 +201,29 @@ def add_shifted(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def fold_edge(
+    a: Sequence[int], b: Sequence[int], pa: Sequence[int], pb: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Vertex v's count lists (A_v, B_v) after folding in a child edge.
+
+    A_v counts all matchings below v and B_v those leaving v uncovered;
+    pa and pb are the products of the edge's children's A and B lists:
+
+        A_v <- A_v * pa + x * B_v * pb
+        B_v <- B_v * pa
+    """
+    return add_shifted(convolve(a, pa), convolve(b, pb)), convolve(b, pa)
+
+
 def matching_counts_tree(H: UniformHypergraph) -> MatchingCounts:
     """Exact matching counts of a hyperforest by a leaf-to-root recurrence.
 
     Each component is rooted at its smallest vertex.  Vertex v keeps two
-    count lists over its subtree: A_v for all matchings and B_v for
-    those leaving v uncovered.  Folding in a child edge e whose other
-    vertices are the children c gives
-
-        A_v <- A_v * prod A_c + x * B_v * prod B_c
-        B_v <- B_v * prod A_c
-
-    and the forest's counts are the product of the roots' A.  Vertices
-    are visited in reverse ``rooted_walk`` order, so there is no
-    recursion.  Merging two parts costs the product of their list
-    lengths, so the total is O(m^2) coefficient operations at most,
+    count lists over its subtree, A_v and B_v, and folds in each child
+    edge with ``fold_edge``; the forest's counts are the product of the
+    roots' A.  Vertices are visited in reverse ``rooted_walk`` order, so
+    there is no recursion.  Merging two parts costs the product of their
+    list lengths, so the total is O(m^2) coefficient operations at most,
     reached on long loose paths.
     """
     if not is_hyperforest(H):
@@ -233,7 +241,7 @@ def matching_counts_tree(H: UniformHypergraph) -> MatchingCounts:
                 # freed at once: a long path would otherwise keep
                 # O(m^2) big coefficients alive
                 A[c] = B[c] = None
-            a, b = add_shifted(convolve(a, pa), convolve(b, pb)), convolve(b, pa)
+            a, b = fold_edge(a, b, pa, pb)
         A[v], B[v] = a, b
     total = [1]
     for a in A:  # only the roots' counts are left

@@ -384,6 +384,13 @@ def _require_finite_lam(lam: complex) -> None:
         raise ValidationError(f"lambda must be finite, got {lam!r}")
 
 
+def _require_nonzero_lam(lam: complex, tol: float) -> None:
+    if abs(lam) <= tol:
+        raise ValidationError(
+            "a totally nonzero eigenpair requires a nonzero eigenvalue"
+        )
+
+
 def _require_spectrum_input(H: UniformHypergraph) -> None:
     if H.k == 2:
         raise UniformityTwoUnsupported(
@@ -669,10 +676,7 @@ def find_totally_nonzero_eigenvector(
     _require_tol(tol)
     _require_finite_lam(lam)
     _require_spectrum_input(H)
-    if abs(lam) <= tol:
-        raise ValidationError(
-            "a totally nonzero eigenpair requires a nonzero eigenvalue"
-        )
+    _require_nonzero_lam(lam, tol)
     order, children = rooted_walk(H)
     raw = _leaf_to_root_eigenvector(order, children, H.k, lam)
     if raw is None:
@@ -699,10 +703,11 @@ def rotate_eigenpair(
     each child edge the first child takes (1 - s(parent)) mod k and the
     others 0.  Every edge then sums to 1 mod k, which makes the vector
     an eigenvector for pair.lam * zeta^b.  ValidationError unless tol
-    and lam are finite and tol > 0.
+    and lam are finite, tol > 0 and |pair.lam| > tol.
     """
     _require_tol(tol)
     _require_finite_lam(lam)
+    _require_nonzero_lam(pair.lam, tol)
     k = H.k
     b = round(k * cmath.phase(lam / pair.lam) / (2 * math.pi)) % k
     order, children = rooted_walk(H)

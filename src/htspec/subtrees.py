@@ -9,18 +9,18 @@ whose polynomial roots assemble the set spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from . import kernels
 from .core import (
     UniformHypergraph,
-    edge_adjacency_masks,
     induced,
     is_hypertree,
+    rooted_walk,
     vertex_union,
 )
 from .errors import CatalogTooLarge, NotAHypertree
-from .matching import AlphaPolynomial, MatchingCounts, add_shifted, convolve
+from .matching import AlphaPolynomial, MatchingCounts, convolve, fold_edge
 from .matching import poly_to_json, to_alpha_poly
 
 DEFAULT_MAX_SUBSETS = 10**6
@@ -40,12 +40,6 @@ class EdgeSubset:
             out.append(low.bit_length() - 1)
             mask ^= low
         return cls(tuple(out))
-
-    def mask(self) -> int:
-        m = 0
-        for i in self.indices:
-            m |= 1 << i
-        return m
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -85,28 +79,84 @@ class SubtreeCatalog:
         }
 
 
-def connected_edge_subsets(
-    H: UniformHypergraph, max_subsets: int = DEFAULT_MAX_SUBSETS
-) -> list[EdgeSubset]:
-    """All nonempty edge subsets forming a connected sub-hypergraph.
+def _subtree_counts(
+    H: UniformHypergraph, max_subsets: int
+) -> list[tuple[EdgeSubset, tuple[int, ...]]]:
+    """Every nonempty connected edge subset of H with its matching counts,
+    in (size, indices) order.
 
-    Enumeration grows sets from a minimum-index anchor over the edge
-    adjacency structure, visiting each subset exactly once; no vertex
-    subset scan is involved.
+    Each component is rooted at its smallest vertex (``rooted_walk``),
+    and every connected subset has exactly one top vertex, the one
+    nearest the root.  Visiting vertices leaves first, vertex v keeps
+    one state (edge mask, A, B) per subset topped at v, starting from
+    the empty state.  Folding in a child edge e appends every old state
+    joined with every option for e: e itself together with one state,
+    possibly empty, per child, joined by ``matching.fold_edge`` as in
+    ``matching_counts_tree``.  So each subset is built once, by one
+    fold step from smaller ones.
+
+    Subsets topped at v number T(v) - 1, where T(v) is the product over
+    v's child edges of 1 + the product of the children's T.  That count
+    is checked against ``max_subsets`` before any state is built.
     """
     if not is_hypertree(H):
         raise NotAHypertree("connected_edge_subsets requires a hypertree")
-    if H.m == 0:
-        return []
-    try:
-        masks = kernels.connected_subset_masks(edge_adjacency_masks(H), max_subsets)
-    except OverflowError:
+    order, children = rooted_walk(H)
+    tops = [1] * (H.n + 1)  # T(v), the empty subset included
+    for v in reversed(order):
+        for kids in children[v]:
+            tops[v] *= 1 + math.prod(tops[c] for c in kids)
+    total = sum(tops) - len(tops)
+    if total > max_subsets:
         raise CatalogTooLarge(
-            f"more than {max_subsets} connected edge subsets"
-        ) from None
-    subsets = [EdgeSubset.from_mask(mask) for mask in masks]
-    subsets.sort(key=lambda s: (len(s), s.indices))
-    return subsets
+            f"more than {max_subsets} connected edge subsets: "
+            f"the host has {total}"
+        )
+    index = {e: i for i, e in enumerate(H.edges)}
+    # one tuple per distinct count list, shared by all subsets having it
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def join(state, option):
+        a, b = fold_edge(state[1], state[2], option[1], option[2])
+        a = tuple(a)
+        return state[0] | option[0], interned.setdefault(a, a), b
+
+    states: list = [None] * (H.n + 1)
+    found = []
+    for v in reversed(order):
+        top = [(0, (1,), (1,))]
+        for kids in children[v]:
+            options = [(1 << index[tuple(sorted((v, *kids)))], (1,), (1,))]
+            for c in kids:
+                options = [
+                    (mask | mc, convolve(pa, a), convolve(pb, b))
+                    for mask, pa, pb in options
+                    for mc, a, b in states[c]
+                ]
+                states[c] = None
+            top += [join(state, option) for state in top for option in options]
+        states[v] = top
+        found += [(mask, a) for mask, a, _ in top[1:]]
+    # the last states go before the EdgeSubsets come, which lowers the peak
+    del states, top
+    for j, (mask, a) in enumerate(found):
+        found[j] = EdgeSubset.from_mask(mask), a
+    found.sort(key=lambda sc: (len(sc[0]), sc[0].indices))
+    return found
+
+
+def connected_edge_subsets(
+    H: UniformHypergraph, max_subsets: int = DEFAULT_MAX_SUBSETS
+) -> list[EdgeSubset]:
+    """All nonempty edge subsets forming a connected sub-hypergraph, in
+    (size, indices) order.
+
+    Each subset is built once from its top vertex by the leaf-to-root
+    fold of ``_subtree_counts``; no vertex subset scan is involved.
+    CatalogTooLarge when there are more than ``max_subsets``, raised
+    from an up-front count before any subset is built.
+    """
+    return [s for s, _ in _subtree_counts(H, max_subsets)]
 
 
 def induced_closure_holds(H: UniformHypergraph, F: EdgeSubset) -> bool:
@@ -124,73 +174,27 @@ def subtree_hypergraph(H: UniformHypergraph, F: EdgeSubset) -> UniformHypergraph
     return induced(H, vertex_union(H, F.indices))
 
 
-def _subset_counts(
-    subsets: list[EdgeSubset], adj: list[int]
-) -> list[tuple[int, ...]]:
-    """Matching counts of every subset, each from smaller ones.
-
-    ``subsets`` must hold every connected edge subset of a hypertree in
-    (size, indices) order.  A connected F with two or more edges has a
-    pendant edge e, whose neighbours in F all share one vertex v of e;
-    F - e is connected, and removing e with all its neighbours leaves
-    components C that are connected and smaller.  So
-
-        counts(F) = counts(F - e) + x * prod_C counts(C)
-
-    reads only entries already computed, and the memo holds one entry
-    per connected subset.
-    """
-    memo: dict[int, tuple[int, ...]] = {}
-    out = []
-    for s in subsets:
-        mask = s.mask()
-        if len(s) == 1:
-            counts: tuple[int, ...] = (1, 1)
-        else:
-            for e in s.indices:
-                near = adj[e] & mask
-                first = near & -near
-                # e is pendant iff its neighbours meet each other (at v)
-                if near & ~adj[first.bit_length() - 1] == first:
-                    break
-            rest = mask & ~(near | 1 << e)
-            used = [1]
-            while rest:
-                comp = reach = rest & -rest
-                while reach:
-                    bit = reach & -reach
-                    reach = (reach ^ bit) | (adj[bit.bit_length() - 1] & rest & ~comp)
-                    comp |= reach
-                rest &= ~comp
-                used = convolve(used, memo[comp])
-            counts = tuple(add_shifted(memo[mask & ~(1 << e)], used))
-        memo[mask] = counts
-        out.append(counts)
-    return out
-
-
 def distinct_matching_polynomials(
     H: UniformHypergraph, max_subsets: int = DEFAULT_MAX_SUBSETS
 ) -> SubtreeCatalog:
     """Catalog every connected induced subtree with its matching polynomial.
 
-    Matching counts only see the edge subset, so each subset's counts
-    come from those of smaller connected subsets of the same host (see
-    ``_subset_counts``).  The work is a few bitmask operations and
-    convolutions per subset, so the catalog's cost follows its size,
-    which is exponential in m on bushy trees and quadratic on paths.
-    The count tuple is the dedup key: it and the alpha polynomial
-    determine each other, so each distinct tuple is converted once.
+    The leaf-to-root fold of ``_subtree_counts`` builds each connected
+    edge subset once, from its top vertex, together with its matching
+    counts, so the catalog's cost follows its size, which is exponential
+    in m on bushy trees and quadratic on loose paths.  The count tuple
+    is the dedup key: it and the alpha polynomial determine each other,
+    so each distinct tuple is converted once.  CatalogTooLarge, from an
+    up-front count, when there are more than ``max_subsets`` subsets.
     Vertex-only subtrees (polynomial 1, no roots) are not represented.
     """
-    subsets = connected_edge_subsets(H, max_subsets)
-    counts = _subset_counts(subsets, edge_adjacency_masks(H))
-    poly = {c: to_alpha_poly(MatchingCounts(c)) for c in set(counts)}
+    found = _subtree_counts(H, max_subsets)
+    poly = {c: to_alpha_poly(MatchingCounts(c)) for c in {c for _, c in found}}
     order = sorted(poly, key=lambda c: (poly[c].degree, poly[c].coeffs))
     rank = {c: i for i, c in enumerate(order)}
     return SubtreeCatalog(
         host=H,
-        subsets=tuple(subsets),
+        subsets=tuple(s for s, _ in found),
         polys=tuple(poly[c] for c in order),
-        poly_of_subset=tuple(rank[c] for c in counts),
+        poly_of_subset=tuple(rank[c] for _, c in found),
     )

@@ -317,6 +317,13 @@ def test_validation_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "matchpoly", str(tmp_path / "missing.json"))
     assert code == 2
 
+    # a directory and a file that is not UTF-8 name the path, no traceback
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(b'{"k": 3, "n": 3, "edges": [[1, 2, 3]]} \xe9')
+    for unreadable in (tmp_path, latin):
+        code, _, err = run(capsys, "matchpoly", str(unreadable))
+        assert code == 2 and f"cannot read {unreadable}" in err
+
     code, _, err = run(capsys, "gen", "pentagon", "3")
     assert code == 2 and "generator" in err
 

@@ -1,6 +1,7 @@
 """Root finding, spectrum assembly, and eigenvector construction."""
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -534,8 +535,14 @@ def test_find_eigenvector_complex_lambda():
 
 
 def test_find_eigenvector_rejects_zero():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="nonzero eigenvalue"):
         find_totally_nonzero_eigenvector(comb(3), 0j)
+    # nor can a pair at lambda = 0 be rotated
+    H = build(3, 3, [[1, 2, 3]])
+    pair = find_totally_nonzero_eigenvector(H, 1 + 0j)
+    zero = dataclasses.replace(pair, lam=0j)
+    with pytest.raises(ValidationError, match="nonzero eigenvalue"):
+        rotate_eigenpair(H, zero, lift_to_x(1 + 0j, 3)[1])
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, -0.0, math.nan, math.inf, -math.inf])

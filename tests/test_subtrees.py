@@ -50,11 +50,15 @@ def test_comb3_subsets():
     assert {s for s in subsets if 0 not in s} == {(1,), (2,), (3,)}
 
 
+def _mask(F):
+    return sum(1 << i for i in F.indices)
+
+
 def test_enumeration_matches_bruteforce_masks():
     rng = random.Random(41)
     for _ in range(20):
         H = random_hypertree(rng.randint(1, 7), rng.choice([2, 3, 4]), rng)
-        masks = {s.mask() for s in connected_edge_subsets(H)}
+        masks = {_mask(s) for s in connected_edge_subsets(H)}
         assert masks == helpers.brute_connected_edge_masks(H)
 
 
@@ -63,14 +67,38 @@ def test_catalog_size_of_combs():
     for k in range(2, 6):
         subsets = connected_edge_subsets(comb(k))
         assert len(subsets) == k + 2**k
-        assert {s.mask() for s in subsets} == helpers.brute_connected_edge_masks(
+        assert {_mask(s) for s in subsets} == helpers.brute_connected_edge_masks(
             comb(k)
         )
+    # a loose path's connected subsets are its contiguous runs; at 70
+    # edges their masks are wider than a machine word
+    runs = [
+        tuple(range(i, i + size)) for size in range(1, 71) for i in range(71 - size)
+    ]
+    assert len(runs) == 2485
+    assert [s.indices for s in connected_edge_subsets(loose_path(70, 3))] == runs
 
 
 def test_subset_cap():
     with pytest.raises(CatalogTooLarge):
         connected_edge_subsets(comb(4), max_subsets=10)
+    # the cap is exact: S subsets pass a cap of S and raise below it
+    rng = random.Random(61)
+    hosts = [comb(4), loose_path(10, 3), star(8, 3), random_hypertree(9, 3, rng)]
+    for H in hosts:
+        size = len(connected_edge_subsets(H))
+        assert len(distinct_matching_polynomials(H, max_subsets=size).subsets) == size
+        with pytest.raises(CatalogTooLarge, match=f"the host has {size}$"):
+            connected_edge_subsets(H, max_subsets=size - 1)
+        with pytest.raises(CatalogTooLarge):
+            distinct_matching_polynomials(H, max_subsets=size - 1)
+
+
+def test_oversized_catalog_raises_before_building_anything():
+    # 2^40 - 1 subsets: the up-front count refuses them at once
+    with helpers.Budget("star(40, 3) catalog refusal", 0.5):
+        with pytest.raises(CatalogTooLarge, match="1099511627775"):
+            distinct_matching_polynomials(star(40, 3))
 
 
 def test_requires_hypertree():

@@ -90,3 +90,51 @@ def div_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Quotient of a by b; caller guarantees that b divides a and that
     b is primitive, so the quotient is integral (Gauss's lemma)."""
     return divide(a, b)[0]
+
+
+def valuation(s: Sequence[int], p: Sequence[int]) -> int:
+    """The largest e with s^e dividing p (s primitive and non-constant,
+    p nonzero), by exact division.  ``divide`` leaves a zero remainder
+    only when the quotient it built times s is p, so a wrong quotient
+    digit on a non-divisor cannot pass for a division."""
+    e = 0
+    while len(p) >= len(s):
+        q, r = divide(p, s)
+        if r:
+            break
+        e, p = e + 1, q
+    return e
+
+
+def coprime_base(polys) -> list[list[int]]:
+    """A pairwise coprime base of the non-constant polys: primitive,
+    positive lead, non-constant, such that each primitive input p is
+    ± the product of s^valuation(s, p) over the base.
+
+    While some pending a shares g = gcd(a, b) with a kept b, both are
+    replaced by g, a/g and b/g (constants dropped).  That lowers the
+    total degree, so the loop ends; each element is kept only once it
+    is coprime to every element kept before, and kept ones never change.
+    This is the gcd refinement of Bernstein, "Factoring into coprimes
+    in essentially linear time" (2005), run naively: O(B^2) gcds for B
+    base elements.
+    """
+    todo = []
+    for p in polys:
+        if len(p) > 1:
+            p = primitive(list(p))
+            todo.append([-c for c in p] if p[-1] < 0 else p)
+    base: list[list[int]] = []
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if len(g) > 1:
+                del base[i]
+                todo += [
+                    q for q in (g, div_exact(a, g), div_exact(b, g)) if len(q) > 1
+                ]
+                break
+        else:
+            base.append(a)
+    return base

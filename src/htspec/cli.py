@@ -22,7 +22,12 @@ from collections import Counter
 from pathlib import Path
 
 from . import core, fixtures, matching, spectra, subtrees
-from .errors import ConvergenceError, MismatchReport, ValidationError
+from .errors import (
+    ConvergenceError,
+    MismatchReport,
+    NoHostWitness,
+    ValidationError,
+)
 
 _GEN_USAGE = (
     "generator spec: comb K | path T K | star T K | random M K | "
@@ -199,6 +204,8 @@ def _cmd_eigvec(args) -> int:
         phi = matching.matching_polynomial(H)
         roots = spectra.alpha_roots(phi)
         idx = args.alpha_index
+        if not roots:
+            raise ValidationError("the matching polynomial has no alpha roots")
         if idx < 0 or idx >= len(roots):
             raise ValidationError(f"--alpha-index {idx} outside 0..{len(roots) - 1}")
         lifts = spectra.lift_to_x(roots[idx][0], H.k)
@@ -234,10 +241,12 @@ def _cmd_check_paper(args) -> int:
             detail = (
                 f"{len(report.bases)} bases, "
                 f"{report.spectrum_size} spectrum values, "
-                f"max deviation {report.max_root_deviation:.2e}"
+                f"max witness residual {report.max_witness_residual:.2e}"
             )
         except MismatchReport as exc:
-            bases_ok = spectrum_ok = False
+            # the bases are checked first; a spectrum left unchecked fails
+            bases_ok = isinstance(exc, NoHostWitness)
+            spectrum_ok = False
             detail = str(exc)
         probe = fixtures.divisibility_probe(name)
         divides_ok = probe.all_divide()

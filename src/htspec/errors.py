@@ -89,3 +89,8 @@ class MismatchReport(ValidationError):
         self.name = name
         self.expected = expected
         self.got = got
+
+
+class NoHostWitness(MismatchReport):
+    """A nonzero spectrum value has no eigenvector witness on the host
+    within tol; the factor bases were checked before and matched."""

@@ -17,16 +17,23 @@ from functools import lru_cache
 
 from . import _ratpoly as _rp
 from .core import UniformHypergraph, build, comb
-from .errors import MismatchReport, UnknownFixture, ValidationError
+from .errors import (
+    ConvergenceError,
+    MismatchReport,
+    NoHostWitness,
+    UnknownFixture,
+    ValidationError,
+)
 from .matching import AlphaPolynomial, alpha_poly, alpha_str, x_str
 from .spectra import (
     DEFAULT_SET_TOL,
-    _distinct_lifts,
-    _lifts,
     _require_tol,
+    eigen_residual,
+    find_totally_nonzero_eigenvector,
     set_spectrum,
+    zero_extend,
 )
-from .subtrees import distinct_matching_polynomials
+from .subtrees import distinct_matching_polynomials, subtree_hypergraph
 
 FIXTURE_NAMES = ("H1", "H2", "H3")
 
@@ -54,35 +61,25 @@ class CharPolyFactorization:
         """How many times phi divides the product of the bases with
         multiplicity (x^power left out); the product is never formed.
 
-        Each round divides one copy of phi out of the product.  It walks
-        the [base, copies] entries and, one copy at a time, moves
-        g = gcd(q, base) from the base into the divisor: q becomes q / g
-        and base / g stays behind as a new one-copy entry.  What is left
-        of phi always divides what is left of the product, and base / g
-        is coprime to q / g, so a round that ends with q non-constant
-        proves that phi divides no further.  Every gcd is primitive, so
-        every quotient is integral (Gauss's lemma).
+        The bases and phi factor over one coprime base
+        (``_ratpoly.coprime_base``), up to sign and content, so phi^n
+        divides the product exactly when, for every base element s,
+        n * e_s(phi) <= sum of mult * e_s(base), where e_s is
+        ``_ratpoly.valuation``.  The answer is the smallest quotient
+        over the s with e_s(phi) > 0.  ValidationError for a constant
+        phi.
         """
         if phi.degree < 1:
             raise ValidationError("multiplicity needs a non-constant divisor")
-        entries = [[list(base.coeffs), mult] for base, mult in self.factors]
-        count = 0
-        while True:
-            q = list(phi.coeffs)
-            for entry in entries:
-                base = entry[0]
-                while len(q) > 1 and entry[1]:
-                    g = _rp.gcd(q, base)
-                    if len(g) == 1:
-                        break
-                    q = _rp.div_exact(q, g)
-                    entry[1] -= 1
-                    rest = _rp.div_exact(base, g)
-                    if len(rest) > 1:
-                        entries.append([rest, 1])
-            if len(q) > 1:
-                return count
-            count += 1
+        q = list(phi.coeffs)
+        bases = [(list(base.coeffs), mult) for base, mult in self.factors]
+        counts = []
+        for s in _rp.coprime_base([q, *(b for b, _ in bases)]):
+            need = _rp.valuation(s, q)
+            if need:
+                have = sum(mult * _rp.valuation(s, b) for b, mult in bases)
+                counts.append(have // need)
+        return min(counts)
 
 
 _FIXTURES = {
@@ -174,7 +171,7 @@ class CrosscheckReport:
     bases: tuple[AlphaPolynomial, ...]
     catalog_polys: tuple[AlphaPolynomial, ...]
     spectrum_size: int
-    max_root_deviation: float
+    max_witness_residual: float
 
 
 def spectrum_crosscheck(name: str, tol: float = DEFAULT_SET_TOL) -> CrosscheckReport:
@@ -183,11 +180,20 @@ def spectrum_crosscheck(name: str, tol: float = DEFAULT_SET_TOL) -> CrosscheckRe
     (a) The distinct matching polynomials of the hypertree's connected
         induced subtrees must equal the fixture's nontrivial factor
         bases exactly (integer coefficients).
-    (b) The nonzero roots of the factored polynomial must equal the
-        computed set spectrum minus 0, within ``tol``.
+    (b) Every nonzero value lambda of the set spectrum must have a host
+        witness: the first subtree, in (size, indices) order, whose
+        polynomial is lambda's source polynomial gets an eigenvector at
+        lambda by the leaf-to-root elimination of
+        ``find_totally_nonzero_eigenvector``, and its zero extension to
+        the host must have residual <= ``tol`` there.  The extension is
+        an eigenvector because k >= 3: an edge outside the subtree meets
+        it in at most one vertex, so every product over such an edge
+        keeps a zero factor.  A pole or a miss raises ``NoHostWitness``
+        naming lambda.
 
-    ValidationError, before any catalog is built, unless tol is finite
-    and > 0.
+    Every base of H1-H3 is irreducible, so that subtree is a minimal one
+    for lambda, as the theorem's proof uses.  ValidationError, before
+    any catalog is built, unless tol is finite and > 0.
     """
     _require_tol(tol)
     f = fixture(name)
@@ -204,35 +210,36 @@ def spectrum_crosscheck(name: str, tol: float = DEFAULT_SET_TOL) -> CrosscheckRe
             got=[alpha_str(p) for p in catalog.polys],
         )
     spectrum = set_spectrum(H, tol, catalog=catalog)
-    kept = _distinct_lifts(_lifts((b for b, _ in f.factors), f.k), tol, [])
-    fixture_roots = [lam for lam, _ in kept]
-    computed = list(spectrum.nonzero_values())
+    first_subtree = {
+        p: subtree_hypergraph(H, catalog.subsets[catalog.witnesses(i)[0]])
+        for i, p in enumerate(catalog.polys)
+    }
     worst = 0.0
-    if len(fixture_roots) != len(computed):
-        raise MismatchReport(
-            name,
-            f"{len(fixture_roots)} fixture roots vs "
-            f"{len(computed)} computed nonzero spectrum values",
-            expected=sorted((z.real, z.imag) for z in fixture_roots),
-            got=sorted((z.real, z.imag) for z in computed),
-        )
-    for z in fixture_roots:
-        d = min(abs(z - w) for w in computed)
-        worst = max(worst, d)
-        if d > tol:
-            raise MismatchReport(
+    for lam, source in zip(spectrum.values, spectrum.sources):
+        if source is None:
+            continue
+        sub = first_subtree[source.poly]
+        try:
+            pair = find_totally_nonzero_eigenvector(sub, lam, tol)
+        except ConvergenceError as exc:
+            raise NoHostWitness(
+                name, f"no witness for lambda = {lam}: {exc}"
+            ) from exc
+        x = zero_extend(pair.x, sub.parent_vertices, H.n)
+        residual = eigen_residual(H, lam, x)
+        if not residual <= tol:
+            raise NoHostWitness(
                 name,
-                f"fixture root {z} missing from computed spectrum "
-                f"(nearest at distance {d:.3e})",
-                expected=sorted((w.real, w.imag) for w in fixture_roots),
-                got=sorted((w.real, w.imag) for w in computed),
+                f"the witness for lambda = {lam} has host residual "
+                f"{residual:.3e} > tol {tol:g}",
             )
+        worst = max(worst, residual)
     return CrosscheckReport(
         name=name,
         bases=tuple(bases),
         catalog_polys=catalog.polys,
         spectrum_size=len(spectrum.values),
-        max_root_deviation=worst,
+        max_witness_residual=worst,
     )
 
 

@@ -257,6 +257,28 @@ def test_check_paper_passes(capsys):
     assert h3["multiplicities"]["x^9 - 5x^6 + 5x^3 - 2"] == 243
 
 
+def test_check_paper_columns_report_their_own_check(capsys, monkeypatch):
+    from htspec import fixtures
+    from htspec.errors import NoConvergence
+
+    real = fixtures.find_totally_nonzero_eigenvector
+    calls = []
+
+    def first_fails(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NoConvergence("planted pole")
+        return real(*args)
+
+    monkeypatch.setattr(fixtures, "find_totally_nonzero_eigenvector", first_fails)
+    code, out, _ = run(capsys, "check-paper", "--format", "json")
+    assert code == 2
+    h1, *rest = json.loads(out)["fixtures"]
+    assert h1["factor_bases"] is True and h1["spectrum_set"] is False
+    assert "planted pole" in h1["detail"]
+    assert all(f["factor_bases"] and f["spectrum_set"] for f in rest)
+
+
 def test_identical_invocations_are_byte_identical(capsys, tmp_path):
     path = write_h3(tmp_path)
     _, a, _ = run(capsys, "spectrum", path, "--format", "json")
@@ -326,6 +348,11 @@ def test_validation_errors_exit_2(capsys, tmp_path):
 
     code, _, err = run(capsys, "gen", "pentagon", "3")
     assert code == 2 and "generator" in err
+
+    lone = tmp_path / "lone.json"
+    lone.write_text('{"k": 3, "n": 1, "edges": []}')
+    code, _, err = run(capsys, "eigvec", str(lone), "--alpha-index", "0")
+    assert code == 2 and "the matching polynomial has no alpha roots" in err
 
 
 def test_malformed_vertex_labels_exit_2(capsys, monkeypatch):

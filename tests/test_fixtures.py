@@ -17,6 +17,7 @@ from htspec.fixtures import (
     hypergraph,
     spectrum_crosscheck,
 )
+from htspec.spectra import SpectrumSet
 
 
 def test_fixture_lookup():
@@ -65,7 +66,7 @@ def test_factor_bases_pairwise_coprime():
 def test_spectrum_crosscheck_passes():
     for name in FIXTURE_NAMES:
         report = spectrum_crosscheck(name, tol=1e-8)
-        assert report.max_root_deviation <= 1e-8
+        assert report.max_witness_residual <= 1e-8
         assert report.bases == report.catalog_polys
 
 
@@ -93,6 +94,26 @@ def tamper_h1(monkeypatch):
         factors=fixture("H1").factors[:-1],  # drop a base
     )
     monkeypatch.setitem(fx._FIXTURES, "H1", bad)
+
+
+def test_crosscheck_names_a_value_without_witness(monkeypatch):
+    import htspec.fixtures as fx
+
+    real = fx.set_spectrum
+    nudged = []
+
+    def nudge_one(H, tol, catalog):
+        spectrum = real(H, tol, catalog=catalog)
+        values = list(spectrum.values)
+        j = next(j for j, s in enumerate(spectrum.sources) if s is not None)
+        values[j] += 1e-3
+        nudged.append(values[j])
+        return SpectrumSet(tuple(values), tol, spectrum.k, spectrum.sources)
+
+    monkeypatch.setattr(fx, "set_spectrum", nudge_one)
+    with pytest.raises(MismatchReport) as info:
+        spectrum_crosscheck("H2", tol=1e-8)
+    assert str(nudged[0]) in str(info.value)
 
 
 def test_crosscheck_raises_on_tampered_data(monkeypatch):
@@ -187,3 +208,45 @@ def test_divisibility_probe_h2():
     observed = {row.poly_x: row.observed_multiplicity for row in report.rows}
     assert observed["x^3 - 3"] == 27
     assert observed["x^6 - 4x^3 + 2"] == 81
+
+
+def test_coprime_base_factors_every_input():
+    rng = random.Random(11)
+    pool = [
+        alpha_poly(c)
+        for c in ([-1, 1], [1, 1], [-2, 1], [0, 1], [2, 0, 1], [-2, 0, 1], [1, -3, 1])
+    ]
+    for _ in range(60):
+        inputs = [
+            poly_mul(*rng.choices(pool, k=2)) if rng.random() < 0.5
+            else poly_pow(rng.choice(pool), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 4))
+        ]
+        inputs.append(alpha_poly([-c for c in inputs[0].coeffs]))
+        base = _ratpoly.coprime_base([p.coeffs for p in inputs])
+        for i, s in enumerate(base):
+            assert len(s) > 1 and s[-1] > 0 and math.gcd(*s) == 1, s
+            for t in base[i + 1 :]:
+                assert _ratpoly.gcd(s, t) == [1], (s, t)
+        for p in inputs:
+            product = alpha_poly([1])
+            for s in base:
+                product = poly_mul(
+                    product, poly_pow(alpha_poly(s), _ratpoly.valuation(s, p.coeffs))
+                )
+            assert product.coeffs in (p.coeffs, tuple(-c for c in p.coeffs)), p
+
+
+def test_divisibility_probes_take_few_gcds(monkeypatch):
+    calls = []
+    real = _ratpoly.gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(_ratpoly, "gcd", counted)
+    for name in FIXTURE_NAMES:
+        assert divisibility_probe(name).all_divide()
+    # one copy of phi divided out per round took 8,072
+    assert 0 < len(calls) < 1000

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DuplicateEdge,
     NonUniformEdge,
+    NotAHyperforest,
     NotAHypertree,
     PowerBelowUniformity,
     ValidationError,
@@ -114,81 +115,93 @@ def build(
     return UniformHypergraph(k, n, tuple(canon), parent_vertices)
 
 
-def _component_roots(H: UniformHypergraph) -> list[int]:
-    """Union-find representative of every vertex (entry 0 is a dummy)."""
-    parent = list(range(H.n + 1))
+def _walk(H: UniformHypergraph) -> tuple[list[int], list, int, int | None]:
+    """(order, children, components, cycle) from the one traversal of
+    the incidence structure, which every structural check and fold reads.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in H.edges:
-        r = find(e[0])
-        for v in e[1:]:
-            parent[find(v)] = r
-    return [find(v) for v in range(H.n + 1)]
-
-
-def is_connected(H: UniformHypergraph) -> bool:
-    """True iff the incidence structure has a single component.
-
-    Isolated vertices count as components of their own.
-    """
-    return len(set(_component_roots(H)[1:])) == 1
-
-
-def is_hypertree(H: UniformHypergraph) -> bool:
-    """Connected and acyclic, i.e. connected with n = m(k-1) + 1."""
-    return H.n == H.m * (H.k - 1) + 1 and is_connected(H)
-
-
-def is_hyperforest(H: UniformHypergraph) -> bool:
-    """Every connected component is a hypertree (or an isolated vertex)."""
-    root = _component_roots(H)
-    comp_vertices: dict[int, int] = {}
-    comp_edges: dict[int, int] = {}
-    for v in range(1, H.n + 1):
-        comp_vertices[root[v]] = comp_vertices.get(root[v], 0) + 1
-    for e in H.edges:
-        comp_edges[root[e[0]]] = comp_edges.get(root[e[0]], 0) + 1
-    return all(
-        comp_vertices[r] == comp_edges.get(r, 0) * (H.k - 1) + 1
-        for r in comp_vertices
-    )
-
-
-def rooted_walk(
-    H: UniformHypergraph,
-) -> tuple[list[int], list[list[tuple[int, ...]]]]:
-    """(order, children) with each component of a hyperforest rooted at
-    its smallest vertex: order lists every vertex after its parent, depth
-    first without recursion, and children[v] holds, for each edge at v
-    other than the one towards its root, in ascending edge order, the
-    edge's other vertices in ascending order (entry 0 is a dummy).
+    Each component is rooted at its smallest vertex, and order lists
+    each vertex once, after its parent, depth first without recursion.
+    Each edge is taken once, at the first of its vertices visited:
+    children[v] holds (edge index, the edge's other vertices) per edge
+    taken at v, all ascending (entry 0 is a dummy).  An edge meeting a
+    vertex already seen closes a cycle; cycle is the first such edge's
+    index, or None.  It is left out of children, but its unseen vertices
+    are still visited, or one reached only through it would count as a
+    component of its own.
     """
     incident: list[list[int]] = [[] for _ in range(H.n + 1)]
     for i, e in enumerate(H.edges):
         for v in e:
             incident[v].append(i)
-    up = [-1] * (H.n + 1)  # the edge from each vertex towards its root
-    children: list[list[tuple[int, ...]]] = [[] for _ in range(H.n + 1)]
+    seen = [False] * (H.n + 1)
+    taken = [False] * H.m
+    children: list = [[] for _ in range(H.n + 1)]
     order: list[int] = []
+    components, cycle = 0, None
     for root in range(1, H.n + 1):
-        if up[root] >= 0:  # reached from an earlier root
+        if seen[root]:
             continue
+        components += 1
+        seen[root] = True
         stack = [root]
         while stack:
             v = stack.pop()
             order.append(v)
             for i in incident[v]:
-                if i != up[v]:
-                    kids = tuple(c for c in H.edges[i] if c != v)
-                    for c in kids:
-                        up[c] = i
-                    stack.extend(kids)
-                    children[v].append(kids)
+                if taken[i]:
+                    continue
+                taken[i] = True
+                kids = tuple(c for c in H.edges[i] if c != v)
+                fresh = [c for c in kids if not seen[c]]
+                for c in fresh:
+                    seen[c] = True
+                stack.extend(fresh)
+                if len(fresh) == len(kids):
+                    children[v].append((i, kids))
+                elif cycle is None:
+                    cycle = i
+    return order, children, components, cycle
+
+
+def is_connected(H: UniformHypergraph) -> bool:
+    """True iff the walk finds one component (an isolated vertex is one)."""
+    return _walk(H)[2] == 1
+
+
+def is_hyperforest(H: UniformHypergraph) -> bool:
+    """True iff the walk meets no cycle: every component is a hypertree."""
+    return _walk(H)[3] is None
+
+
+def is_hypertree(H: UniformHypergraph) -> bool:
+    """True iff the walk finds one component and no cycle."""
+    return _walk(H)[2:] == (1, None)
+
+
+def rooted_walk(H: UniformHypergraph) -> tuple[list[int], list]:
+    """(order, children) of a hyperforest from ``_walk``, the structural
+    check of every tree algorithm: NotAHyperforest, naming the edge,
+    when some edge closes a cycle.  It ends on any hypergraph.
+    """
+    order, children, _, cycle = _walk(H)
+    if cycle is not None:
+        raise NotAHyperforest(
+            f"not a hyperforest: edge {list(H.edges[cycle])} closes a cycle"
+        )
+    return order, children
+
+
+def hypertree_walk(H: UniformHypergraph) -> tuple[list[int], list]:
+    """``rooted_walk`` of a hypertree, for the calls that need one:
+    NotAHypertree, naming a cycle-closing edge or the component count,
+    otherwise."""
+    order, children, components, cycle = _walk(H)
+    if cycle is not None:
+        raise NotAHypertree(
+            f"not a hypertree: edge {list(H.edges[cycle])} closes a cycle"
+        )
+    if components > 1:
+        raise NotAHypertree(f"not a hypertree: {components} components")
     return order, children
 
 
@@ -317,8 +330,7 @@ def is_power_tree(H: UniformHypergraph) -> bool:
     obstruction; in a hypertree two neighbors through distinct vertices
     cannot meet again without closing a cycle).
     """
-    if not is_hypertree(H):
-        raise NotAHypertree("is_power_tree requires a hypertree")
+    hypertree_walk(H)
     deg = H.degrees()
     return all(
         sum(1 for v in e if deg[v] >= 2) <= 2 for e in H.edges

@@ -60,26 +60,29 @@ class CharPolyFactorization:
     def multiplicity(self, phi: AlphaPolynomial) -> int:
         """How many times phi divides the product of the bases with
         multiplicity (x^power left out); the product is never formed.
+        The one-divisor case of ``multiplicities``."""
+        return self.multiplicities([phi])[0]
 
-        The bases and phi factor over one coprime base
-        (``_ratpoly.coprime_base``), up to sign and content, so phi^n
-        divides the product exactly when, for every base element s,
-        n * e_s(phi) <= sum of mult * e_s(base), where e_s is
-        ``_ratpoly.valuation``.  The answer is the smallest quotient
-        over the s with e_s(phi) > 0.  ValidationError for a constant
-        phi.
+    def multiplicities(self, phis) -> list[int]:
+        """``multiplicity`` of each of phis.  The bases and every phi
+        factor over one coprime base (``_ratpoly.coprime_base``), up to
+        sign and content, so phi^n divides the product exactly when, for
+        every base element s, n * e_s(phi) <= sum of mult * e_s(base),
+        where e_s is ``_ratpoly.valuation``.  Each answer is the smallest
+        quotient over the s with e_s(phi) > 0.  ValidationError for a
+        constant phi.
         """
-        if phi.degree < 1:
+        if any(phi.degree < 1 for phi in phis):
             raise ValidationError("multiplicity needs a non-constant divisor")
-        q = list(phi.coeffs)
+        qs = [list(phi.coeffs) for phi in phis]
         bases = [(list(base.coeffs), mult) for base, mult in self.factors]
-        counts = []
-        for s in _rp.coprime_base([q, *(b for b, _ in bases)]):
-            need = _rp.valuation(s, q)
-            if need:
-                have = sum(mult * _rp.valuation(s, b) for b, mult in bases)
-                counts.append(have // need)
-        return min(counts)
+        base = _rp.coprime_base([*qs, *(b for b, _ in bases)])
+        have = [sum(mult * _rp.valuation(s, b) for b, mult in bases) for s in base]
+        out = []
+        for q in qs:
+            need = [_rp.valuation(s, q) for s in base]
+            out.append(min(h // e for h, e in zip(have, need) if e))
+        return out
 
 
 _FIXTURES = {
@@ -266,18 +269,16 @@ def divisibility_probe(name: str) -> DivisibilityReport:
     The x^power prefactor is coprime to every divisor (subtree
     polynomials have nonzero constant term), so divisibility in x is
     decided on the factored alpha-form product by
-    ``CharPolyFactorization.multiplicity``.  Failures are reported per
-    row, never raised.
+    ``CharPolyFactorization.multiplicities``, over one coprime base of
+    the bases and all the divisors.  Failures are reported per row,
+    never raised.
     """
     f = fixture(name)
-    rows = []
-    for phi in distinct_matching_polynomials(hypergraph(name)).polys:
-        mult = f.multiplicity(phi)
-        rows.append(
-            DivisibilityRow(
-                poly_x=x_str(phi, f.k),
-                divides=mult >= 1,
-                observed_multiplicity=mult,
-            )
+    phis = distinct_matching_polynomials(hypergraph(name)).polys
+    rows = tuple(
+        DivisibilityRow(
+            poly_x=x_str(phi, f.k), divides=mult >= 1, observed_multiplicity=mult
         )
-    return DivisibilityReport(name=name, rows=tuple(rows))
+        for phi, mult in zip(phis, f.multiplicities(phis))
+    )
+    return DivisibilityReport(name=name, rows=rows)

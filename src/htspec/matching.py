@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 
 from . import _ratpoly as _rp
 from . import kernels
-from .core import UniformHypergraph, edge_adjacency_masks, is_hyperforest, rooted_walk
-from .errors import NotAHyperforest, TooManyEdgesForOracle, ValidationError
+from .core import UniformHypergraph, edge_adjacency_masks, rooted_walk
+from .errors import TooManyEdgesForOracle, ValidationError
 
 DEFAULT_ORACLE_EDGE_LIMIT = 24
 
@@ -222,18 +222,17 @@ def matching_counts_tree(H: UniformHypergraph) -> MatchingCounts:
     count lists over its subtree, A_v and B_v, and folds in each child
     edge with ``fold_edge``; the forest's counts are the product of the
     roots' A.  Vertices are visited in reverse ``rooted_walk`` order, so
-    there is no recursion.  Merging two parts costs the product of their
-    list lengths, so the total is O(m^2) coefficient operations at most,
-    reached on long loose paths.
+    there is no recursion, and the walk raises NotAHyperforest on a
+    cycle.  Merging two parts costs the product of their list lengths,
+    so the total is O(m^2) coefficient operations at most, reached on
+    long loose paths.
     """
-    if not is_hyperforest(H):
-        raise NotAHyperforest("matching_counts_tree requires a hyperforest")
     order, children = rooted_walk(H)
     A: list = [None] * (H.n + 1)
     B: list = [None] * (H.n + 1)
     for v in reversed(order):
         a = b = [1]
-        for kids in children[v]:
+        for _, kids in children[v]:
             pa = pb = [1]
             for c in kids:
                 pa = convolve(pa, A[c])

@@ -24,12 +24,11 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import _ratpoly as _rp
-from .core import UniformHypergraph, VertexSet, is_hypertree, rooted_walk
+from .core import UniformHypergraph, VertexSet, hypertree_walk
 from .errors import (
     DidNotConverge,
     DimensionMismatch,
     NoConvergence,
-    NotAHypertree,
     UniformityTwoUnsupported,
     ValidationError,
 )
@@ -330,9 +329,6 @@ class SpectrumSet:
         """Whether some value lies within ``tol`` of z."""
         return self._grid.near(z)
 
-    def nonzero_values(self) -> tuple[complex, ...]:
-        return tuple(v for v in self.values if abs(v) > self.tol)
-
     def rotation_symmetric(self) -> bool:
         """Invariance under multiplication by every k-th root of unity."""
         for j in range(1, self.k):
@@ -391,13 +387,14 @@ def _require_nonzero_lam(lam: complex, tol: float) -> None:
         )
 
 
-def _require_spectrum_input(H: UniformHypergraph) -> None:
+def _require_spectrum_input(H: UniformHypergraph):
+    """k >= 3, then ``hypertree_walk``, whose (order, children) a
+    caller folds over without walking twice."""
     if H.k == 2:
         raise UniformityTwoUnsupported(
             "set-spectrum assembly from subtrees holds only for k >= 3"
         )
-    if not is_hypertree(H):
-        raise NotAHypertree("spectrum operations require a hypertree")
+    return hypertree_walk(H)
 
 
 def _lifts(polys, k):
@@ -491,10 +488,9 @@ def spectral_radius(H: UniformHypergraph) -> float:
     the usual case, costs 3 exact tests; one d ulps away costs about
     2 log2(d) more.  Every returned bit is decided by exact tests.
     """
-    _require_spectrum_input(H)
+    order, children = _require_spectrum_input(H)
     if H.m == 0:
         raise ValidationError("spectral radius needs at least one edge")
-    order, children = rooted_walk(H)
 
     def above(r, num=Fraction) -> bool:
         u = _labels(order, children, num(r) ** H.k, lambda d: d <= 0)
@@ -580,13 +576,13 @@ def eigen_residual(
 def _labels(order, children, alpha, pole):
     """Leaf-to-root labels u_v = (1/alpha) sum_{child e}
     prod_{c in e, c != v} 1/(1 - u_c), or None as soon as pole(1 - u_c)
-    holds; order and children come from ``rooted_walk``.  A child with
+    holds; order and children come from ``hypertree_walk``.  A child with
     u_c = 0 (a leaf) is skipped, which is exact.
     """
     u = [0] * len(children)
     for v in reversed(order):
         total = 0
-        for kids in children[v]:
+        for _, kids in children[v]:
             prod = 1
             for c in kids:
                 if not u[c]:
@@ -619,7 +615,7 @@ def _leaf_to_root_eigenvector(order, children, k, lam) -> list[complex] | None:
     x[order[0]] = 1 + 0j
     lam_km1 = lam ** (k - 1)
     for p in order:
-        for kids in children[p]:
+        for _, kids in children[p]:
             denom = lam_km1
             for c in kids:
                 denom *= 1 - u[c]
@@ -675,9 +671,8 @@ def find_totally_nonzero_eigenvector(
     """
     _require_tol(tol)
     _require_finite_lam(lam)
-    _require_spectrum_input(H)
+    order, children = _require_spectrum_input(H)
     _require_nonzero_lam(lam, tol)
-    order, children = rooted_walk(H)
     raw = _leaf_to_root_eigenvector(order, children, H.k, lam)
     if raw is None:
         raise NoConvergence(
@@ -703,17 +698,17 @@ def rotate_eigenpair(
     each child edge the first child takes (1 - s(parent)) mod k and the
     others 0.  Every edge then sums to 1 mod k, which makes the vector
     an eigenvector for pair.lam * zeta^b.  ValidationError unless tol
-    and lam are finite, tol > 0 and |pair.lam| > tol.
+    and lam are finite, tol > 0, |pair.lam| > tol and H a hypertree.
     """
     _require_tol(tol)
     _require_finite_lam(lam)
+    order, children = _require_spectrum_input(H)
     _require_nonzero_lam(pair.lam, tol)
     k = H.k
     b = round(k * cmath.phase(lam / pair.lam) / (2 * math.pi)) % k
-    order, children = rooted_walk(H)
     s = [0] * len(children)
     for p in order:
-        for kids in children[p]:
+        for _, kids in children[p]:
             s[kids[0]] = (1 - s[p]) % k
     turn = [cmath.exp(2j * cmath.pi * (b * t % k) / k) for t in range(k)]
     return _checked(H, lam, [v * turn[t] for t, v in zip(s[1:], pair.x)], tol)

@@ -12,21 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (
-    UniformHypergraph,
-    induced,
-    is_hypertree,
-    rooted_walk,
-    vertex_union,
-)
-from .errors import CatalogTooLarge, NotAHypertree
+from .core import UniformHypergraph, hypertree_walk, induced, vertex_union
+from .errors import CatalogTooLarge
 from .matching import AlphaPolynomial, MatchingCounts, convolve, fold_edge
 from .matching import poly_to_json, to_alpha_poly
 
 DEFAULT_MAX_SUBSETS = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeSubset:
     """Sorted indices into the host hypertree's canonical edge list."""
 
@@ -85,7 +79,7 @@ def _subtree_counts(
     """Every nonempty connected edge subset of H with its matching counts,
     in (size, indices) order.
 
-    Each component is rooted at its smallest vertex (``rooted_walk``),
+    Each component is rooted at its smallest vertex (``hypertree_walk``),
     and every connected subset has exactly one top vertex, the one
     nearest the root.  Visiting vertices leaves first, vertex v keeps
     one state (edge mask, A, B) per subset topped at v, starting from
@@ -98,13 +92,12 @@ def _subtree_counts(
     Subsets topped at v number T(v) - 1, where T(v) is the product over
     v's child edges of 1 + the product of the children's T.  That count
     is checked against ``max_subsets`` before any state is built.
+    NotAHypertree, from the walk, unless H is one.
     """
-    if not is_hypertree(H):
-        raise NotAHypertree("connected_edge_subsets requires a hypertree")
-    order, children = rooted_walk(H)
+    order, children = hypertree_walk(H)
     tops = [1] * (H.n + 1)  # T(v), the empty subset included
     for v in reversed(order):
-        for kids in children[v]:
+        for _, kids in children[v]:
             tops[v] *= 1 + math.prod(tops[c] for c in kids)
     total = sum(tops) - len(tops)
     if total > max_subsets:
@@ -112,7 +105,6 @@ def _subtree_counts(
             f"more than {max_subsets} connected edge subsets: "
             f"the host has {total}"
         )
-    index = {e: i for i, e in enumerate(H.edges)}
     # one tuple per distinct count list, shared by all subsets having it
     interned: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -125,8 +117,8 @@ def _subtree_counts(
     found = []
     for v in reversed(order):
         top = [(0, (1,), (1,))]
-        for kids in children[v]:
-            options = [(1 << index[tuple(sorted((v, *kids)))], (1,), (1,))]
+        for i, kids in children[v]:
+            options = [(1 << i, (1,), (1,))]
             for c in kids:
                 options = [
                     (mask | mc, convolve(pa, a), convolve(pb, b))

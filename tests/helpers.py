@@ -78,6 +78,57 @@ def random_hyperforest(
     return disjoint_union(*parts), parts
 
 
+def union_find_roots(H: UniformHypergraph) -> list[int]:
+    """Union-find representative of every vertex (entry 0 is a dummy)."""
+    parent = list(range(H.n + 1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for e in H.edges:
+        r = find(e[0])
+        for v in e[1:]:
+            parent[find(v)] = r
+    return [find(v) for v in range(H.n + 1)]
+
+
+def union_find_structure(H: UniformHypergraph) -> tuple[bool, bool, bool]:
+    """(connected, hyperforest, hypertree) by union-find and per-component
+    counts, with no traversal: the reference that the walk-based
+    is_connected, is_hyperforest and is_hypertree must agree with.  A
+    component is a hypertree iff its vertices number edges * (k-1) + 1.
+    """
+    root = union_find_roots(H)
+    vertices: dict[int, int] = {}
+    edges: dict[int, int] = {}
+    for v in range(1, H.n + 1):
+        vertices[root[v]] = vertices.get(root[v], 0) + 1
+    for e in H.edges:
+        edges[root[e[0]]] = edges.get(root[e[0]], 0) + 1
+    connected = len(vertices) == 1
+    forest = all(vertices[r] == edges.get(r, 0) * (H.k - 1) + 1 for r in vertices)
+    return connected, forest, connected and forest
+
+
+def random_structure_host(rng: random.Random) -> UniformHypergraph:
+    """A small random hypergraph, k = 2..4: a random hyperforest of one to
+    three components, then up to two extra edges on random vertex sets
+    (closing cycles or joining components) and up to two isolated
+    vertices."""
+    k = rng.choice([2, 3, 4])
+    forest, _ = random_hyperforest(
+        [rng.randint(1, 4) for _ in range(rng.randint(1, 3))], k, rng
+    )
+    n = forest.n + rng.choice([0, 0, 1, 2])
+    edges = set(forest.edges)
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        edges.add(tuple(sorted(rng.sample(range(1, n + 1), k))))
+    return build(k, n, sorted(edges))
+
+
 def brute_matching_counts(H: UniformHypergraph) -> tuple[int, ...]:
     """Oracle reimplementation: scan all edge subsets with itertools."""
     sets = [frozenset(e) for e in H.edges]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from htspec import (
     build,
     comb,
@@ -16,15 +17,17 @@ from htspec import (
     is_hypertree,
     is_power_tree,
     loose_path,
+    matching_counts_tree,
     pendant_edges,
     power,
     random_hypertree,
     star,
 )
-from htspec.core import VertexSet, dumps, loads
+from htspec.core import VertexSet, dumps, loads, rooted_walk
 from htspec.errors import (
     DuplicateEdge,
     NonUniformEdge,
+    NotAHyperforest,
     NotAHypertree,
     PowerBelowUniformity,
     ValidationError,
@@ -107,6 +110,46 @@ def test_is_hyperforest():
     assert is_hyperforest(two)
     assert not is_hypertree(two)
     assert not is_hyperforest(build(3, 4, [[1, 2, 3], [1, 2, 4]]))
+
+
+# a 3-cycle of edges; vertex 4 lies only on the edge that closes it
+CYCLE = build(3, 6, [[1, 2, 3], [3, 4, 5], [5, 6, 1]])
+
+
+def test_cycle_closing_edge_still_reaches_its_other_vertices():
+    assert is_connected(CYCLE)
+    assert not is_hyperforest(CYCLE)
+    assert not is_hypertree(CYCLE)
+    with pytest.raises(NotAHyperforest, match=r"edge \[3, 4, 5\] closes a cycle"):
+        rooted_walk(CYCLE)
+    with pytest.raises(NotAHyperforest, match="hyperforest"):
+        matching_counts_tree(CYCLE)
+
+
+def test_structural_predicates_match_union_find():
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(300):
+        H = helpers.random_structure_host(rng)
+        expected = helpers.union_find_structure(H)
+        assert (is_connected(H), is_hyperforest(H), is_hypertree(H)) == expected, H
+        seen.add(expected[:2])
+    # connected or not, cyclic or not: every pairing was drawn
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_rooted_walk_children_carry_their_edge_index():
+    for H in (h3(), comb(4), disjoint_union(loose_path(3, 3), star(2, 3))):
+        order, children = rooted_walk(H)
+        assert sorted(order) == list(range(1, H.n + 1))
+        pos = {v: j for j, v in enumerate(order)}
+        taken = []
+        for v in order:
+            for i, kids in children[v]:
+                assert H.edges[i] == tuple(sorted((v, *kids)))
+                assert all(pos[c] > pos[v] for c in kids)
+                taken.append(i)
+        assert sorted(taken) == list(range(H.m))
 
 
 def test_induced_h3_on_first_nine_is_comb3():

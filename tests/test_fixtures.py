@@ -18,6 +18,7 @@ from htspec.fixtures import (
     spectrum_crosscheck,
 )
 from htspec.spectra import SpectrumSet
+from htspec.subtrees import distinct_matching_polynomials
 
 
 def test_fixture_lookup():
@@ -250,3 +251,30 @@ def test_divisibility_probes_take_few_gcds(monkeypatch):
         assert divisibility_probe(name).all_divide()
     # one copy of phi divided out per round took 8,072
     assert 0 < len(calls) < 1000
+
+
+def test_divisibility_probe_builds_one_coprime_base(monkeypatch):
+    bases = []
+    real = _ratpoly.coprime_base
+
+    def counted(polys):
+        bases.append(1)
+        return real(polys)
+
+    monkeypatch.setattr(_ratpoly, "coprime_base", counted)
+    for name in FIXTURE_NAMES:
+        divisibility_probe(name)
+    assert len(bases) == len(FIXTURE_NAMES)
+
+
+def test_multiplicities_equal_one_divisor_calls():
+    a = alpha_poly([-1, 1])  # alpha - 1 divides every fixture
+    extra = [alpha_poly([-5, 1]), poly_mul(a, a), poly_pow(alpha_poly([1, -3, 1]), 4)]
+    for name in FIXTURE_NAMES:
+        f = fixture(name)
+        phis = [*distinct_matching_polynomials(hypergraph(name)).polys, *extra]
+        got = f.multiplicities(phis)
+        assert got == [f.multiplicity(phi) for phi in phis]
+        assert got[-3] == 0 and got[-2] == f.multiplicity(a) // 2
+    with pytest.raises(ValidationError):
+        fixture("H1").multiplicities([a, alpha_poly([2])])

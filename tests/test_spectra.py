@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import Budget
 from htspec import (
     SpectrumSet,
     alpha_poly,
@@ -553,7 +554,7 @@ def test_eigenpair_calls_check_tol_first(monkeypatch, tol):
     def no_walk(*args):
         raise AssertionError("tree walked before tol was checked")
 
-    monkeypatch.setattr(spectra, "rooted_walk", no_walk)
+    monkeypatch.setattr(spectra, "hypertree_walk", no_walk)
     with pytest.raises(ValidationError, match="tol"):
         find_totally_nonzero_eigenvector(H, 1 + 0j, tol=tol)
     with pytest.raises(ValidationError, match="tol"):
@@ -583,7 +584,7 @@ def test_eigenpair_calls_reject_a_non_finite_lambda_first(monkeypatch, lam):
     def no_walk(*args):
         raise AssertionError("tree walked before lambda was checked")
 
-    monkeypatch.setattr(spectra, "rooted_walk", no_walk)
+    monkeypatch.setattr(spectra, "hypertree_walk", no_walk)
     with pytest.raises(ValidationError, match="lambda must be finite"):
         find_totally_nonzero_eigenvector(H, lam)
     with pytest.raises(ValidationError, match="lambda must be finite"):
@@ -631,3 +632,32 @@ def test_witness_extension_into_host():
     pair = find_totally_nonzero_eigenvector(sub, lam)
     extended = zero_extend(pair.x, sub.parent_vertices, H3.n)
     assert eigen_residual(H3, lam, extended) <= 1e-8
+
+
+CYCLE = build(3, 6, [[1, 2, 3], [3, 4, 5], [5, 6, 1]])
+# with an isolated vertex the cycle has n = m(k - 1) + 1, a hypertree's count
+CYCLE_PLUS_VERTEX = build(3, 7, CYCLE.edges)
+
+
+def test_rotate_eigenpair_refuses_a_cycle_at_once():
+    pair = find_totally_nonzero_eigenvector(build(3, 3, [[1, 2, 3]]), 1 + 0j)
+    zeta = cmath.exp(2j * cmath.pi / 3)
+    with Budget("rotate_eigenpair on a cycle", 0.5):
+        with pytest.raises(NotAHypertree):
+            rotate_eigenpair(CYCLE, pair, zeta)
+    with pytest.raises(UniformityTwoUnsupported):
+        rotate_eigenpair(loose_path(2, 2), pair, zeta)
+
+
+@pytest.mark.parametrize("H", [CYCLE, CYCLE_PLUS_VERTEX])
+def test_tree_algorithms_refuse_a_cycle(H):
+    calls = [
+        set_spectrum,
+        spectral_radius,
+        is_cyclotomic_spectrum,
+        distinct_matching_polynomials,
+        lambda H: find_totally_nonzero_eigenvector(H, 1 + 0j),
+    ]
+    for call in calls:
+        with pytest.raises(NotAHypertree):
+            call(H)

@@ -101,6 +101,12 @@ def test_oversized_catalog_raises_before_building_anything():
             distinct_matching_polynomials(star(40, 3))
 
 
+def test_edge_subset_has_no_instance_dict():
+    s = EdgeSubset((0, 2))
+    assert not hasattr(s, "__dict__")
+    assert s.indices == (0, 2) and len(s) == 2
+
+
 def test_requires_hypertree():
     with pytest.raises(NotAHypertree):
         connected_edge_subsets(build(3, 4, [[1, 2, 3], [1, 2, 4]]))

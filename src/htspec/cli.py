@@ -347,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-subsets": dict(
             type=_count,
             default=subtrees.DEFAULT_MAX_SUBSETS,
-            help="cap on enumerated connected edge subsets",
+            help="cap on connected edge subsets (subtrees) or on distinct "
+            "subtree DP states (spectrum, cyclotomic, ispower)",
         ),
     }
     sub = parser.add_subparsers(dest="verb", required=True)

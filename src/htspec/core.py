@@ -321,20 +321,27 @@ def power(G: UniformHypergraph, k: int) -> UniformHypergraph:
     return build(k, nxt, edges)
 
 
-def is_power_tree(H: UniformHypergraph) -> bool:
-    """True iff H is the power of some 2-uniform tree.
+def power_obstruction(H: UniformHypergraph) -> int | None:
+    """Index of the first edge of H with three or more vertices of
+    degree >= 2, or None.
 
-    Structural test: a hypertree is a power tree exactly when no edge
-    contains three or more vertices of degree >= 2 (three such vertices
-    would carry three mutually disjoint neighbor edges, the comb-shaped
-    obstruction; in a hypertree two neighbors through distinct vertices
-    cannot meet again without closing a cycle).
+    A hypertree is a power tree exactly when it has no such edge: three
+    such vertices carry three mutually disjoint neighbor edges, the
+    comb-shaped obstruction (in a hypertree two neighbors through
+    distinct vertices cannot meet again without closing a cycle).
     """
-    hypertree_walk(H)
     deg = H.degrees()
-    return all(
-        sum(1 for v in e if deg[v] >= 2) <= 2 for e in H.edges
+    return next(
+        (i for i, e in enumerate(H.edges) if sum(deg[v] >= 2 for v in e) >= 3),
+        None,
     )
+
+
+def is_power_tree(H: UniformHypergraph) -> bool:
+    """True iff H is the power of some 2-uniform tree: a hypertree
+    (``hypertree_walk``) without a ``power_obstruction``."""
+    hypertree_walk(H)
+    return power_obstruction(H) is None
 
 
 def disjoint_union(*graphs: UniformHypergraph) -> UniformHypergraph:

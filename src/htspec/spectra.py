@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import _ratpoly as _rp
-from .core import UniformHypergraph, VertexSet, hypertree_walk
+from .core import UniformHypergraph, VertexSet, hypertree_walk, power_obstruction
 from .errors import (
     DidNotConverge,
     DimensionMismatch,
@@ -39,8 +39,15 @@ from .matching import (
     alpha_str,
     count_distinct_real_roots,
     horner,
+    matching_polynomial,
 )
-from .subtrees import DEFAULT_MAX_SUBSETS, SubtreeCatalog, distinct_matching_polynomials
+from .subtrees import (
+    DEFAULT_MAX_SUBSETS,
+    EdgeSubset,
+    SubtreeCatalog,
+    _distinct_polys,
+    subtree_hypergraph,
+)
 
 DEFAULT_SET_TOL = 1e-8
 ROOT_TOL = 1e-12  # the relative residual target of alpha_roots
@@ -431,9 +438,14 @@ def set_spectrum(
     catalog: SubtreeCatalog | None = None,
 ) -> SpectrumSet:
     """The eigenvalue set of H: {0} plus k-th-root lifts of every alpha
-    root of every cataloged subtree polynomial, deduplicated at ``tol``.
+    root of every distinct connected subtree polynomial, deduplicated at
+    ``tol``.
 
-    Lifts are taken in catalog order, and one within ``tol`` of a value
+    The polynomials are ``catalog.polys`` when a catalog is passed, and
+    otherwise come from the distinct-state DP ``subtrees._distinct_polys``
+    over the walk that checks H, in the same (degree, coefficients)
+    order; ``max_subsets`` then caps the DP's states, not subsets.
+    Lifts are taken in that order, and one within ``tol`` of a value
     already kept is dropped, so the first accepted wins and keeps its
     source.  The dedup runs on the grid index ``SpectrumSet.contains``
     reads: O(V) expected over the lifts, after the root solves.  The
@@ -441,10 +453,11 @@ def set_spectrum(
     because lifts always arrive in complete families.
     """
     _require_tol(tol)
-    _require_spectrum_input(H)
-    if catalog is None:
-        catalog = distinct_matching_polynomials(H, max_subsets)
-    kept = _distinct_lifts(_lifts(catalog.polys, H.k), tol, [(0j, None)])
+    walk = _require_spectrum_input(H)
+    polys = (
+        _distinct_polys(H, walk, max_subsets) if catalog is None else catalog.polys
+    )
+    kept = _distinct_lifts(_lifts(polys, H.k), tol, [(0j, None)])
     kept.sort(key=lambda item: (item[0].real, item[0].imag))
     return SpectrumSet(
         values=tuple(v for v, _ in kept),
@@ -523,15 +536,41 @@ def is_cyclotomic_spectrum(
     """True iff every nonzero eigenvalue lambda has lambda^k real, i.e.
     lies on a ray of argument pi*j/k.
 
-    Equivalently, every cataloged subtree polynomial has only real alpha
-    roots; that is decided exactly, by comparing each polynomial's Sturm
+    Equivalently, every connected subtree polynomial has only real alpha
+    roots; that is decided exactly, by comparing a polynomial's Sturm
     count of distinct real roots with its number of distinct roots.
+
+    False from one subtree first: a ``power_obstruction`` edge, with one
+    further edge at each of its three vertices of degree >= 2, is a
+    connected, so induced, 4-edge subtree.  Its outer edges are pairwise
+    disjoint and each meets the middle one, so for every k >= 3 its
+    counts are (1, 4, 3, 1) and its polynomial a^3 - 4a^2 + 3a - 1 has
+    1 real root of 3 (discriminant -31).  Both numbers are computed, by
+    ``matching_polynomial`` and ``_sturm_counts``, in O(mk).  Otherwise
+    every distinct polynomial of ``subtrees._distinct_polys`` over the
+    walk that checks H is tested, with ``max_subsets`` capping its
+    states.
     """
-    _require_spectrum_input(H)
-    catalog = distinct_matching_polynomials(H, max_subsets)
-    return all(
-        real == distinct for real, distinct in map(_sturm_counts, catalog.polys)
-    )
+    walk = _require_spectrum_input(H)
+    edge = power_obstruction(H)
+    if edge is not None:
+        real, distinct = _sturm_counts(_obstruction_poly(H, edge))
+        if real != distinct:
+            return False
+    polys = _distinct_polys(H, walk, max_subsets)
+    return all(real == distinct for real, distinct in map(_sturm_counts, polys))
+
+
+def _obstruction_poly(H: UniformHypergraph, edge: int) -> AlphaPolynomial:
+    """Matching polynomial of the subtree of ``edge`` and the first other
+    edge at each of its first three vertices of degree >= 2."""
+    picked = [edge]
+    for v in H.edges[edge]:
+        if len(picked) == 4:
+            break
+        picked += [j for j, e in enumerate(H.edges) if j != edge and v in e][:1]
+    sub = subtree_hypergraph(H, EdgeSubset(tuple(sorted(picked))))
+    return matching_polynomial(sub)
 
 
 # -- eigenpairs -----------------------------------------------------------------

@@ -137,6 +137,92 @@ def _subtree_counts(
     return found
 
 
+def _distinct_polys(
+    H: UniformHypergraph, walk, max_states: int
+) -> tuple[AlphaPolynomial, ...]:
+    """``distinct_matching_polynomials(H).polys``, without listing subsets.
+
+    The fold of ``_subtree_counts`` over H's ``hypertree_walk``, but
+    vertex v keeps the set of distinct (A, B) states of the subsets
+    topped at v, not one state per subset: two subsets with equal
+    (A, B) give equal states after every later fold, so the nontrivial
+    A over all vertices are exactly the catalog's count tuples.  The
+    cost follows the number of distinct states: m nonempty ones at the
+    centre of ``star(m, k)``, which has 2^m - 1 subsets, about m^2 / 2
+    on loose paths, and still exponential where the distinct
+    polynomials are.
+
+    Each count list is packed into one int, slot i holding the number
+    of i-matchings in bits [i*w, (i+1)*w) with w = m + 1.  A fold is
+    then A' = sa*pa + (sb*pb << w), B' = sb*pa, and the products over a
+    child edge's children are int multiplies.  Slots never carry: every
+    coefficient of every product and sum counts the i-matchings of a
+    subforest of H, which is at most C(m, i) <= 2^m < 2^w.  Ints also
+    hash cheaply, which makes the per-vertex sets cheap.
+
+    CatalogTooLarge, naming the edge being folded, as soon as the
+    distinct nonempty states built so far pass ``max_states``.  They are
+    counted after each row of a product, so no set outgrows the cap by
+    more than one row.  A child edge's set of options counts too: each
+    option gives the edge a distinct nonempty state, so options past the
+    cap mean states past it, and the early refusal never turns away a
+    host whose states fit.
+
+    The catalog's own fold keeps its count lists.  Packed, it took half
+    the time on the benchmark's m = 24 catalog anchor, but the
+    benchmark reads peak memory as the high-water mark of a process
+    that then ran more passes, and that reading passed its bound.
+    ``matching_counts_tree`` keeps them too: its coefficients range
+    over hundreds of bits on long paths, so uniform slots waste most of
+    each product (2x slower on loose_path(1000, 3)).  No state records
+    the subset that realized it.
+    """
+    order, children = walk
+    w = H.m + 1
+    states: list = [None] * (H.n + 1)
+    found: set[int] = set()
+    built = 0
+
+    def refuse(i):
+        return CatalogTooLarge(
+            f"more than {max_states} distinct (A, B) states, "
+            f"refused while folding edge {list(H.edges[i])}"
+        )
+
+    for v in reversed(order):
+        top = {(1, 1)}
+        room = max_states - built + 1  # top's size limit, (1, 1) included
+        for i, kids in children[v]:
+            options = {(1, 1)}
+            for c in kids:
+                grown = set()
+                for pa, pb in options:
+                    grown.update([(pa * a, pb * b) for a, b in states[c]])
+                    if len(grown) > max_states:
+                        raise refuse(i)
+                options = grown
+                states[c] = None
+            old = tuple(top)
+            for pa, pb in options:
+                top.update([(sa * pa + (sb * pb << w), sb * pa) for sa, sb in old])
+                if len(top) > room:
+                    raise refuse(i)
+        built += len(top) - 1
+        states[v] = top
+        found.update(a for a, _ in top)
+    found.discard(1)
+    slot = (1 << w) - 1
+    polys = []
+    for a in found:
+        counts = []
+        while a:
+            counts.append(a & slot)
+            a >>= w
+        polys.append(to_alpha_poly(MatchingCounts(tuple(counts))))
+    polys.sort(key=lambda p: (p.degree, p.coeffs))
+    return tuple(polys)
+
+
 def connected_edge_subsets(
     H: UniformHypergraph, max_subsets: int = DEFAULT_MAX_SUBSETS
 ) -> list[EdgeSubset]:

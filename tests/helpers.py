@@ -7,7 +7,18 @@ import random
 import time
 from itertools import combinations
 
-from htspec import UniformHypergraph, build, disjoint_union, random_hypertree
+from htspec import (
+    UniformHypergraph,
+    build,
+    comb,
+    disjoint_union,
+    loose_path,
+    power,
+    random_hypertree,
+    star,
+)
+from htspec.fixtures import hypergraph
+from htspec.matching import _sturm_counts
 
 
 class Budget:
@@ -69,6 +80,47 @@ def random_nonpower_hypertree(
         edges.append([anchor] + list(range(n + 1, n + k)))
         n += k - 1
     return build(k, n, edges)
+
+
+def catalog_cyclotomic_verdict(catalog) -> bool:
+    """The cyclotomic verdict read from a full subtree catalog: every
+    distinct polynomial's Sturm count of real roots equals its number of
+    distinct roots.  The reference that is_cyclotomic_spectrum, which
+    answers false from one subtree and true from the distinct-state DP,
+    must agree with."""
+    return all(real == distinct for real, distinct in map(_sturm_counts, catalog.polys))
+
+
+def ladder_hosts():
+    """(name, host) of the comparison ladder: H1-H3, combs k = 3..5, k = 3
+    loose paths and stars, random_hypertree(m, k, Random(10m + k)) for
+    m = 10..24 and k = 3, 4, and k = 3 powers of random 2-trees; then
+    seeded hosts that the ladder lacks: small and k = 5 random hosts,
+    short and k = 4 paths, k = 4, 5 stars and k = 4, 5 powers."""
+    for name in ("H1", "H2", "H3"):
+        yield name, hypergraph(name)
+    for k in (3, 4, 5):
+        yield f"comb-{k}", comb(k)
+    for t in (10, 30, 60, 200):
+        yield f"path-{t}", loose_path(t, 3)
+    for t in (10, 16, 40):
+        yield f"star-{t}", star(t, 3)
+    for m in range(10, 25):
+        for k in (3, 4):
+            yield f"random-{m}-{k}", random_hypertree(m, k, random.Random(10 * m + k))
+    for m in (6, 10, 14, 18):
+        yield f"power-{m}", power(random_hypertree(m, 2, random.Random(m)), 3)
+    rng = random.Random(211)
+    for j in range(40):
+        m, k = rng.randint(1, 20), rng.randint(3, 5)
+        yield f"seeded-random-{j}", random_hypertree(m, k, rng)
+    for t, k in ((1, 3), (2, 3), (7, 3), (33, 3), (25, 4)):
+        yield f"seeded-path-{t}-{k}", loose_path(t, k)
+    for t, k in ((1, 3), (5, 4), (12, 3), (9, 5)):
+        yield f"seeded-star-{t}-{k}", star(t, k)
+    for j in range(8):
+        base = random_hypertree(rng.randint(1, 16), 2, rng)
+        yield f"seeded-power-{j}", power(base, rng.randint(3, 5))
 
 
 def random_hyperforest(

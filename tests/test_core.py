@@ -23,7 +23,7 @@ from htspec import (
     random_hypertree,
     star,
 )
-from htspec.core import VertexSet, dumps, loads, rooted_walk
+from htspec.core import VertexSet, dumps, loads, power_obstruction, rooted_walk
 from htspec.errors import (
     DuplicateEdge,
     NonUniformEdge,
@@ -240,11 +240,16 @@ def test_power_of_two_uniform_star_is_three_star():
 
 def test_is_power_tree_verdicts():
     assert not is_power_tree(comb(3))  # spine has 3 vertices of degree 2
+    assert power_obstruction(comb(3)) == 0
+    # the first edge is a pendant; edge 1, [3, 4, 5], is the obstruction
+    H = build(3, 9, [[1, 2, 3], [3, 4, 5], [4, 6, 7], [5, 8, 9]])
+    assert power_obstruction(H) == 1 and not is_power_tree(H)
     assert is_power_tree(comb(2))
     assert is_power_tree(build(3, 3, [[1, 2, 3]]))
     H2 = build(3, 9, [[1, 2, 3], [1, 4, 6], [3, 5, 7], [1, 8, 9]])
     deg = H2.degrees()
     assert all(sum(1 for v in e if deg[v] >= 2) <= 2 for e in H2.edges)
+    assert power_obstruction(H2) is None
     assert is_power_tree(H2)
     with pytest.raises(NotAHypertree):
         is_power_tree(build(3, 6, [[1, 2, 3]]))

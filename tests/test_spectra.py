@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import mpmath
 import pytest
@@ -36,7 +37,9 @@ from htspec import (
     star,
 )
 from htspec import spectra
+from htspec.core import hypertree_walk, power_obstruction
 from htspec.errors import (
+    CatalogTooLarge,
     DimensionMismatch,
     NotAHypertree,
     UniformityTwoUnsupported,
@@ -48,7 +51,12 @@ from htspec.spectra import (
     squarefree_decomposition,
     zero_extend,
 )
-from htspec.subtrees import distinct_matching_polynomials, subtree_hypergraph
+from htspec.subtrees import (
+    DEFAULT_MAX_SUBSETS,
+    _distinct_polys,
+    distinct_matching_polynomials,
+    subtree_hypergraph,
+)
 
 
 def test_alpha_roots_linear():
@@ -216,10 +224,10 @@ def test_tol_must_be_finite_and_positive(monkeypatch, tol):
     with pytest.raises(ValidationError, match="tol"):
         SpectrumSet(values=(0j, 1 + 0j), tol=tol, k=3)
 
-    def no_catalog(*args):
-        raise AssertionError("catalog built before tol was checked")
+    def no_polys(*args):
+        raise AssertionError("polynomials built before tol was checked")
 
-    monkeypatch.setattr(spectra, "distinct_matching_polynomials", no_catalog)
+    monkeypatch.setattr(spectra, "_distinct_polys", no_polys)
     with pytest.raises(ValidationError, match="tol"):
         set_spectrum(build(3, 3, [[1, 2, 3]]), tol=tol)
 
@@ -475,6 +483,83 @@ def test_every_spectrum_value_has_a_subtree_witness():
             pair = find_totally_nonzero_eigenvector(sub, lam, tol=1e-8)
             extended = zero_extend(pair.x, sub.parent_vertices, H.n)
             assert eigen_residual(H, lam, extended) <= 1e-8
+
+
+def test_distinct_polys_and_cyclotomic_verdict_match_the_catalog_on_the_ladder():
+    refused = []
+    for name, H in helpers.ladder_hosts():
+        try:
+            catalog = distinct_matching_polynomials(H)
+        except CatalogTooLarge:
+            refused.append(name)
+            continue
+        walk = hypertree_walk(H)
+        assert _distinct_polys(H, walk, DEFAULT_MAX_SUBSETS) == catalog.polys, name
+        verdict = helpers.catalog_cyclotomic_verdict(catalog)
+        assert is_cyclotomic_spectrum(H) == verdict == is_power_tree(H), name
+    assert refused == ["star-40"]
+
+
+def test_cyclotomic_false_from_one_subtree(monkeypatch):
+    # the obstruction's 4-edge subtree has counts (1, 4, 3, 1) for every
+    # k >= 3: one real alpha root of three
+    for k in (3, 4, 5):
+        H = comb(k)
+        poly = spectra._obstruction_poly(H, power_obstruction(H))
+        assert poly.coeffs == (-1, 3, -4, 1)
+        assert spectra._sturm_counts(poly) == (1, 3)
+
+    def no_polys(*args):
+        raise AssertionError("a non-power host reached the DP")
+
+    monkeypatch.setattr(spectra, "_distinct_polys", no_polys)
+    rng = random.Random(17)
+    for _ in range(6):
+        H = helpers.random_nonpower_hypertree(rng.randint(4, 30), rng.randint(3, 5), rng)
+        assert not is_cyclotomic_spectrum(H)
+    # the full catalog took 9 s to say false here
+    H = random_hypertree(30, 3, random.Random(3))
+    with Budget("cyclotomic verdict of random_hypertree(30, 3)", 0.05):
+        assert not is_cyclotomic_spectrum(H)
+
+
+def test_set_spectrum_of_a_star_beyond_the_subset_cap():
+    # 2^40 - 1 subsets but 40 distinct (A, B) states: the j-edge stars
+    with Budget("set_spectrum(star(40, 3))", 0.5):
+        s = set_spectrum(star(40, 3))
+    assert len(s.values) == 121
+    assert all(s.contains(complex(j ** (1 / 3))) for j in range(1, 41))
+
+
+def test_spectrum_calls_cap_distinct_states():
+    # star(8, 3) has 8 nonempty states, the j-edge stars at its centre; a
+    # loose path's 55 subpaths on 10 edges all give distinct states
+    calls = [
+        lambda H, cap: set_spectrum(H, max_subsets=cap),
+        lambda H, cap: is_cyclotomic_spectrum(H, cap),
+    ]
+    for H, states in ((star(8, 3), 8), (loose_path(10, 3), 55)):
+        for call in calls:
+            call(H, states)
+            with pytest.raises(CatalogTooLarge, match=f"{states - 1} distinct"):
+                call(H, states - 1)
+
+
+def test_state_cap_bounds_the_memory_of_one_fold():
+    # on these hosts one fold, of edge [1, 4, 5], multiplies a large set
+    # of states by a large set of options: 1.6 million states at m = 45
+    # if the cap is checked only once the fold is done
+    for m in (40, 45):
+        H = random_hypertree(m, 3, random.Random(1))
+        tracemalloc.start()
+        try:
+            with Budget(f"state cap refusal on random_hypertree({m}, 3)", 0.5):
+                with pytest.raises(CatalogTooLarge, match="more than 1000 distinct .* states"):
+                    set_spectrum(H, max_subsets=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"m = {m}: {peak / 2**20:.1f} MB traced"
 
 
 def test_power_tree_dual_characterization_sample():

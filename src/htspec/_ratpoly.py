@@ -1,8 +1,9 @@
 """Exact polynomial arithmetic over the integers (little-endian lists).
 
 The one polynomial stack of the package: the ``AlphaPolynomial`` ops in
-``matching``, the squarefree decomposition and the Sturm-chain real-root
-counter all run on these plain ``list[int]`` helpers.  Remainders are
+``matching``, the squarefree decomposition, the Sturm chains that count
+and isolate real roots, and the exact signs that bracket them all run on
+these plain ``list[int]`` helpers.  Remainders are
 primitive pseudo-remainders: a is scaled by |lc(b)|^(deg a - deg b + 1)
 so every quotient step divides exactly, and the remainder is divided by
 its positive content.  Both factors are positive, so each remainder has
@@ -84,6 +85,40 @@ def gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
         a, b = b, rem(a, b)
     a = primitive(list(a))
     return [-c for c in a] if a and a[-1] < 0 else a
+
+
+def sturm_chain(p: Sequence[int]) -> list[list[int]]:
+    """p, p' and then negated primitive pseudo-remainders, down to the
+    last nonzero one, which is gcd(p, p') up to a constant.
+
+    Each entry is a positive multiple of the classical Sturm chain's, so
+    the two have the same signs everywhere (p non-constant)."""
+    chain = [list(p), deriv(p)]
+    while len(chain[-1]) > 1:
+        r = rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def scaled_value(p: Sequence[int], num: int, den: int) -> int:
+    """p(num/den) * den^deg p, exactly, for integers num and den > 0.
+
+    The homogenized Horner sum of c_i num^i den^(d - i), over the
+    integers: no rounding and no overflow.  A float x, a dyadic
+    rational, is passed as ``*x.as_integer_ratio()``."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def sign_at(p: Sequence[int], num: int, den: int) -> int:
+    """The sign (-1, 0 or 1) of p(num/den), from ``scaled_value``."""
+    v = scaled_value(p, num, den)
+    return (v > 0) - (v < 0)
 
 
 def div_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -62,7 +62,8 @@ class DimensionMismatch(ValidationError):
 
 
 class DidNotConverge(ConvergenceError):
-    """Root refinement did not reach the residual target."""
+    """Root refinement did not reach the residual target, overflowed
+    floats, or met real roots that floats cannot tell apart."""
 
 
 class NoConvergence(ConvergenceError):

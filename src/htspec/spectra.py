@@ -34,10 +34,11 @@ from .errors import (
 )
 from .matching import (
     AlphaPolynomial,
+    _real_root_count,
     _sturm_counts,
+    _variations,
     alpha_poly,
     alpha_str,
-    count_distinct_real_roots,
     horner,
     matching_polynomial,
 )
@@ -50,7 +51,7 @@ from .subtrees import (
 )
 
 DEFAULT_SET_TOL = 1e-8
-ROOT_TOL = 1e-12  # the relative residual target of alpha_roots
+ROOT_TOL = 1e-12  # the relative residual target of alpha_roots' Aberth roots
 DEFAULT_SEED = 24301
 
 
@@ -196,45 +197,310 @@ def _split_roots(roots: list[complex], n_real: int) -> list[complex]:
     return out
 
 
+# -- certified real roots ---------------------------------------------------------
+
+
+def _root_bounds(f: list[int]) -> tuple[float, float]:
+    """Floats lo < hi with every root of f in (lo, hi), when every root
+    is real: by Laguerre-Samuelson, each root lies within
+    w = sqrt((d - 1) / d * sum (r - mean)^2) of the mean of the d roots,
+    and both come from f's top three coefficients.  Their quotients are
+    correctly rounded from exact integers, so a margin of 1% of
+    |mean| + w covers every rounding in between."""
+    d, (a, b, c) = len(f) - 1, f[-3:]
+    mean = -b / (d * c)
+    w = math.sqrt((d - 1) * ((d - 1) * b * b - 2 * d * a * c) / (d * d * c * c))
+    margin = 0.01 * (abs(mean) + w)
+    if abs(mean) + w > 2.0**1000:
+        raise DidNotConverge(
+            f"roots of a degree {d} factor may lie beyond float range"
+        )
+    return mean - w - margin, mean + w + margin
+
+
+def _laguerre(f: list[int], start: float) -> list[float]:
+    """Float approximations of the roots of f, ascending, when every
+    root is real and all exceed ``start``.
+
+    Laguerre's iteration, started there, climbs monotonically to the
+    smallest root; the factor is deflated by it, and the next climb
+    starts there.  A climb stops once a step is below 1e-12 relative:
+    convergence is cubic, so the next step would not show in floats.
+    Each approximation then takes one ``_newton`` step on the
+    undeflated f, whose exact values land it next to its root even
+    where float evaluation of f has no correct digit.  Nothing here is
+    trusted: ``_real_roots`` checks every approximation exactly, and
+    float trouble (overflow, nan, a division by zero) surfaces as an
+    exception or as a value that check rejects.
+    """
+    a = [float(c) for c in f]
+    x, out = start, []
+    while len(a) > 2:
+        n = len(a) - 1
+        for _ in range(50):
+            p, dp, d2p = a[-1], 0.0, 0.0  # d2p is p''/2
+            for c in a[-2::-1]:
+                d2p = d2p * x + dp
+                dp = dp * x + p
+                p = p * x + c
+            if p == 0:
+                break
+            g = dp / p
+            root = math.sqrt(max((n - 1) * (n * (g * g - 2 * d2p / p) - g * g), 0.0))
+            step = n / (g + root if g >= 0 else g - root)
+            x -= step
+            if abs(step) <= 1e-12 * abs(x):
+                break
+        out.append(x)
+        carry, q = 0.0, [0.0] * n
+        for j in range(n, 0, -1):
+            carry = a[j] + x * carry
+            q[j - 1] = carry
+        a = q
+    out.append(-a[0] / a[1])
+    df = _rp.deriv(f)
+    return sorted(_newton(f, df, x)[1] for x in out)
+
+
+def _newton(f: list[int], df: list[int], x: float) -> tuple[int, float]:
+    """(p(x) * den^d, x - p(x) / p'(x)) for x = num/den, p = f and
+    p' = df: one Newton step on exact values, so only the quotient and
+    the step are rounded; x itself when p(x) or p'(x) is 0."""
+    num, den = x.as_integer_ratio()
+    value = _rp.scaled_value(f, num, den)
+    slope = _rp.scaled_value(df, num, den) if value else 0
+    return value, (x - value / (slope * den) if slope else x)
+
+
+def _sign_halfway(f: list[int], x: float, y: float) -> int:
+    """The exact sign of f halfway between the floats x and y."""
+    (a, b), (c, e) = x.as_integer_ratio(), y.as_integer_ratio()
+    return _rp.sign_at(f, a * e + c * b, 2 * b * e)
+
+
+def _nearest_float(f: list[int], lo: float, hi: float, left: int) -> float:
+    """The float nearest the one root of f in (lo, hi], where f has the
+    sign ``left`` on (lo, root) and the opposite sign on (root, hi].
+
+    ``_bisect`` on exact signs down to adjacent floats lo < root <= hi,
+    then one exact sign at their midpoint picks the nearer.  A root that
+    is a float comes back as itself; one exactly halfway between two
+    floats, as the lower."""
+    lo, hi = _bisect(lambda x: _rp.sign_at(f, *x.as_integer_ratio()) != left, lo, hi)
+    return hi if _sign_halfway(f, lo, hi) == left else lo
+
+
+def _gallop(
+    f: list[int], r: float, left: int, lo_bound: float, hi_bound: float
+) -> float | None:
+    """The float nearest the root of f near its approximation r, when a
+    sign change turns up strictly inside (lo_bound, hi_bound); else None.
+
+    ``left`` is f's sign just left of the root.  The sign at r says on
+    which side of r the root lies; a root within half an ulp of r
+    returns r after one more exact sign, at that half-ulp point.  Beyond
+    it, steps of 1, 2, 4, ... ulps away from r find a point past the
+    root, and ``_nearest_float`` finishes the bracket.
+    """
+    side = _rp.sign_at(f, *r.as_integer_ratio())
+    if side == 0:
+        return r
+    ahead = 1.0 if side == left else -1.0
+    if _sign_halfway(f, r, math.nextafter(r, ahead * math.inf)) != side:
+        return r
+    inner = math.nextafter(hi_bound if ahead > 0 else lo_bound, -ahead * math.inf)
+    step, prev = math.ulp(r), r
+    while True:
+        x = r + ahead * step
+        if ahead * (x - inner) >= 0:
+            x = inner
+        if ahead * (x - prev) <= 0:
+            return None
+        s = _rp.sign_at(f, *x.as_integer_ratio())
+        if s == 0:
+            return x
+        if s != side:
+            return _nearest_float(f, min(prev, x), max(prev, x), left)
+        if x == inner:
+            return None
+        prev, step = x, 2 * step
+
+
+def _refine(f: list[int], lo: float, hi: float, left: int) -> float:
+    """The float nearest the one root of f in (lo, hi], where f has the
+    sign ``left`` on (lo, root) and the opposite sign on (root, hi].
+
+    ``_newton`` steps from the midpoint, each of whose exact values
+    also narrows (lo, hi), with a bisection wherever Newton would leave
+    it; once a step no longer moves, ``_gallop`` brackets the root next
+    to where it stopped.  ``_nearest_float`` bisects what is left when
+    it cannot, or when (lo, hi) closes first.  Neither evaluates f at
+    lo or hi, which may be a root of a neighbouring interval.
+    """
+    df = _rp.deriv(f)
+    x = (lo + hi) / 2
+    while lo < x < hi:
+        value, step_to = _newton(f, df, x)
+        if value == 0:
+            return x
+        if (value > 0) == (left > 0):
+            lo = x
+        else:
+            hi = x
+        if step_to == x:
+            root = _gallop(f, x, left, lo, hi)
+            return _nearest_float(f, lo, hi, left) if root is None else root
+        x = step_to if lo < step_to < hi else (lo + hi) / 2
+    return _nearest_float(f, lo, hi, left)
+
+
+def _isolate(
+    f: list[int], chain: list[list[int]], lo: float, hi: float
+) -> list[tuple[float, float]]:
+    """Sturm isolation: intervals (a, b] with float ends, ascending,
+    each holding exactly one root of the squarefree f, whose chain is
+    ``chain`` and whose deg f roots are all real and lie in (lo, hi).
+
+    The roots in (a, b] number V(a) - V(b), V the chain's sign
+    variations (exact signs at floats); an interval with more than one
+    root is halved.  Raises DidNotConverge when two roots lie between
+    adjacent floats."""
+
+    def variations(x: float) -> int:
+        num, den = x.as_integer_ratio()
+        return _variations([_rp.sign_at(q, num, den) for q in chain])
+
+    # V(hi) is V(+inf), and the d roots in (lo, hi) make V(lo) = V(hi) + d
+    v_hi = _variations([1 if q[-1] > 0 else -1 for q in chain])
+    todo = [(lo, hi, v_hi + len(f) - 1, v_hi)]
+    out = []
+    while todo:
+        a, b, v_a, v_b = todo.pop()
+        if v_a - v_b == 1:
+            out.append((a, b))
+        elif v_a > v_b:
+            mid = (a + b) / 2
+            if mid == a or mid == b:
+                raise DidNotConverge(
+                    f"{v_a - v_b} roots of a degree {len(f) - 1} factor "
+                    "lie between adjacent floats"
+                )
+            v_mid = variations(mid)
+            todo += [(mid, b, v_mid, v_b), (a, mid, v_a, v_mid)]
+    return sorted(out)
+
+
+def _real_roots(f: list[int], chain: list[list[int]]) -> list[float]:
+    """The roots of a squarefree f all of whose deg f = d roots are real
+    (its Sturm count, from ``chain``), ascending; each is the float
+    nearest its root, fixed by exact signs.
+
+    With every root real and simple, f has the sign
+    sign(lead) * (-1)^(d - i) just left of its i-th root (from 0), so an
+    exact sign at any float says on which side of that root it lies.
+    ``_laguerre``'s approximations, split at the midpoints between
+    neighbours, give d disjoint intervals; ``_gallop`` brackets one root
+    in each between adjacent floats.  d disjoint sign changes of a
+    degree d polynomial are all its roots, one apiece, so the brackets
+    certify themselves.  When an approximation is not usable (float
+    trouble, a missing sign change: ill-conditioned factors such as
+    those of long loose paths), ``_isolate`` isolates the roots from the
+    chain instead, and ``_refine`` takes each to its nearest float.  A
+    degree 1 factor's root is the correctly rounded quotient of its
+    coefficients.
+    """
+    d = len(f) - 1
+    if d == 1:
+        return [-f[0] / f[1]]
+    lead = 1 if f[-1] > 0 else -1
+    lefts = [lead if (d - i) % 2 == 0 else -lead for i in range(d)]
+    lo, hi = _root_bounds(f)
+    try:
+        approx = _laguerre(f, lo)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        approx = []
+    cuts = [(r + s) / 2 for r, s in zip(approx, approx[1:])]
+    if (
+        len(approx) == d
+        and all(r < c < s for r, c, s in zip(approx, cuts, approx[1:]))
+        and lo < approx[0]
+        and approx[-1] < hi
+    ):
+        roots = [
+            _gallop(f, r, left, below, above)
+            for r, left, below, above in zip(approx, lefts, [lo, *cuts], [*cuts, hi])
+        ]
+        if None not in roots:
+            return roots
+    return [
+        _refine(f, below, above, left)
+        for (below, above), left in zip(_isolate(f, chain, lo, hi), lefts)
+    ]
+
+
 def alpha_roots(p: AlphaPolynomial) -> list[tuple[complex, int]]:
     """All alpha roots of p with multiplicities, sorted by (re, im).
 
-    Multiple roots are separated exactly (squarefree decomposition over
-    the integers) before refinement, so each numeric solve sees only
-    simple roots, and each factor's Sturm count says how many of them
-    are real: those come back with imaginary part exactly 0, the others
-    as exact conjugate pairs.  The refinement target is
-    ``|p(r)| <= ROOT_TOL * max|coeff| * max(1, |r|)^deg``.  Raises
-    DidNotConverge when that target is missed or overflows floats, or
-    when the refined roots cannot be split as the Sturm count says.
-    Aberth's starts are perturbed by a fixed seed, so every call gives
-    the same roots.
+    One Sturm chain of p (without its alpha = 0 roots) gives
+    gcd(p, p'); a squarefree p is its own factor, and otherwise Yun's
+    squarefree decomposition over the integers separates multiple roots
+    first, so each factor has simple roots.  A factor's Sturm count says
+    how many of its roots are real.
+
+    - Every root real (the count equals the degree; Heilmann-Lieb makes
+      this the case for every polynomial of a power tree): certified by
+      ``_real_roots``.  Each root comes back as the float nearest it,
+      with imaginary part exactly 0, bracketed between adjacent floats
+      by exact integer signs; a root that is a float comes back exact.
+      No float residual is involved, so no ``ROOT_TOL`` either.
+    - Some root nonreal: Aberth's iteration, whose starts are perturbed
+      by a fixed seed so that every call gives the same roots.  The
+      count's real roots come back with imaginary part exactly 0, the
+      others as exact conjugate pairs, and each must meet
+      ``|p(r)| <= ROOT_TOL * max|coeff| * max(1, |r|)^deg``: a target,
+      not a distance to the root.
+
+    Raises DidNotConverge when Aberth misses that target, stalls or
+    overflows floats, when its roots cannot be split as the Sturm count
+    says, or when a real root cannot be told apart in floats.
     """
     if p.degree < 0:
         raise ValidationError("the zero polynomial has no root set")
     if p.degree == 0:
         return []
-    rng = random.Random(DEFAULT_SEED)
+    rng = None
     # alpha = 0 roots come straight off the trailing zero coefficients
     zero_mult = next(i for i, c in enumerate(p.coeffs) if c)
-    reduced = alpha_poly(p.coeffs[zero_mult:])
+    reduced = list(p.coeffs[zero_mult:])
     out: list[tuple[complex, int]] = []
     if zero_mult:
         out.append((0j, zero_mult))
+    if len(reduced) == 1:
+        return out
+    chain = _rp.sturm_chain(reduced)
+    if len(chain[-1]) == 1:
+        factors = [(reduced, 1, chain)]
+    else:
+        factors = [
+            (list(q.coeffs), mult, _rp.sturm_chain(q.coeffs))
+            for q, mult in squarefree_decomposition(alpha_poly(reduced))
+        ]
     maxc = max(abs(c) for c in p.coeffs)
-
     try:
-        for factor, mult in squarefree_decomposition(reduced):
-            roots = _aberth([float(c) for c in factor.coeffs], rng)
-            for z in _split_roots(roots, count_distinct_real_roots(factor)):
+        for f, mult, chain in factors:
+            n_real = _real_root_count(chain)
+            if n_real == len(f) - 1:
+                out += [(complex(r, 0.0), mult) for r in _real_roots(f, chain)]
+                continue
+            rng = rng or random.Random(DEFAULT_SEED)
+            roots = _aberth([float(c) for c in f], rng)
+            for z in _split_roots(roots, n_real):
+                bound = ROOT_TOL * maxc * max(1.0, abs(z)) ** p.degree
+                if abs(p(z)) > bound:
+                    raise DidNotConverge(
+                        f"root {z} of {alpha_str(p)} misses residual target"
+                    )
                 out.append((z, mult))
-
-        for z, _ in out:
-            bound = ROOT_TOL * maxc * max(1.0, abs(z)) ** p.degree
-            if abs(p(z)) > bound:
-                raise DidNotConverge(
-                    f"root {z} of {alpha_str(p)} misses residual target"
-                )
     except OverflowError:
         raise DidNotConverge(
             f"root refinement overflowed floats on degree {p.degree} polynomial"

@@ -74,12 +74,27 @@ def test_radius(capsys, tmp_path):
     assert float(out) == pytest.approx(2 ** (1 / 3), abs=1e-12)
 
 
-def test_alpha_index_float_overflow_exits_3(capsys, tmp_path):
+def test_alpha_index_on_a_100_edge_path_takes_the_closed_form_root(capsys, tmp_path):
+    # alpha roots 4cos^2(j pi / 102), j = 1..50; the smallest (j = 50) is
+    # also a root of the 49-edge subpath (50/102 = 25/51), so the
+    # elimination meets an exact pole there, while the largest is rho^3
     path = tmp_path / "p100.json"
     path.write_text(core.dumps(core.loose_path(100, 3)))
     code, out, err = run(capsys, "eigvec", str(path), "--alpha-index", "0")
     assert code == 3
-    assert out == "" and err.startswith("error:") and "degree 50" in err
+    assert out == "" and err.startswith("error:") and "meets a pole" in err
+    lam = complex(re.search(r"lambda = (\(.*\))", err).group(1))
+    assert lam.imag == 0
+    assert lam.real**3 == pytest.approx(4 * math.cos(50 * math.pi / 102) ** 2, rel=1e-13)
+    code, out, _ = run(
+        capsys, "eigvec", str(path), "--alpha-index", "49", "--format", "json"
+    )
+    assert code == 0
+    lam = json.loads(out)["lambda"]
+    assert lam["im"] == 0
+    assert lam["re"] ** 3 == pytest.approx(4 * math.cos(math.pi / 102) ** 2, rel=1e-14)
+    code, out, _ = run(capsys, "radius", str(path))
+    assert float(out) == pytest.approx(lam["re"], rel=1e-15)
 
 
 def test_alpha_index_exits_3_when_roots_contradict_the_sturm_count(

@@ -1,6 +1,7 @@
 """Matching counts, the alpha polynomial, and the comb closed form."""
 
 import random
+from fractions import Fraction
 from math import comb as binomial
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import helpers
 from helpers import Budget
 from htspec import (
+    _ratpoly,
     alpha_poly,
     alpha_str,
     build,
@@ -253,6 +255,18 @@ def test_sturm_on_known_polynomials():
         for part in parts:
             p = poly_mul(p, part)
         assert count_distinct_real_roots(p) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=40),
+    x=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_sign_at_a_float_is_exact(coeffs, x):
+    # floats up to 1.8e308 raised to degree 39 overflow any float
+    # evaluation; the homogenized integer sum does not
+    exact = sum(c * Fraction(x) ** i for i, c in enumerate(coeffs))
+    assert _ratpoly.sign_at(coeffs, *x.as_integer_ratio()) == (exact > 0) - (exact < 0)
 
 
 def test_matching_counts_validation():

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -102,6 +103,96 @@ def test_alpha_roots_puts_close_real_roots_on_the_axis():
     assert [m for _, m in roots] == [1, 1, 1]
     assert all(z.imag == 0 for z, _ in roots)
     assert len({z for z, _ in roots}) == 3
+
+
+def test_alpha_roots_returns_float_roots_exactly(monkeypatch):
+    # squarefree, real-rooted factors whose roots are all floats, such as
+    # (a - 1)(a - 2)(a - 3)(2a - 1); isolating them from the Sturm chain
+    # alone must land on them too
+    cases = [(1, 2, 3, 0.5), (-3, -0.5, 0.25, 1, 2, 3, 6), (-1, 1, 1.5, 2, 2.5, 3)]
+    polys = []
+    for roots in cases:
+        p = alpha_poly([1])
+        for r in roots:
+            num, den = r.as_integer_ratio()
+            p = poly_mul(p, alpha_poly([-num, den]))
+        polys.append((p, [(complex(r), 1) for r in sorted(roots)]))
+    for p, expected in polys:
+        assert alpha_roots(p) == expected
+
+    def no_approximations(f, start):
+        raise OverflowError
+
+    monkeypatch.setattr(spectra, "_laguerre", no_approximations)
+    for p, expected in polys:
+        assert alpha_roots(p) == expected
+
+
+@pytest.mark.parametrize("t, k", [(28, 3), (40, 3), (57, 3), (40, 4)])
+def test_alpha_roots_of_long_loose_paths_match_the_closed_form(t, k):
+    # roots 4cos^2(j pi / (t + 2)), j = 1..ceil(t/2): ill-conditioned
+    # enough that float evaluation of the polynomial has no correct digit
+    # near the top roots, and Aberth overflowed floats from 57 edges on
+    roots = alpha_roots(matching_polynomial(loose_path(t, k)))
+    expected = sorted(
+        4 * math.cos(j * math.pi / (t + 2)) ** 2 for j in range(1, (t + 3) // 2)
+    )
+    assert [m for _, m in roots] == [1] * len(expected)
+    assert all(z.imag == 0 for z, _ in roots)
+    assert [z.real for z, _ in roots] == pytest.approx(expected, abs=1e-13, rel=0)
+
+
+def _rational_value(coeffs, x):
+    return sum(c * x**i for i, c in enumerate(coeffs))
+
+
+def test_real_roots_are_nearest_floats_on_random_catalogs(monkeypatch):
+    """Every real alpha root of a factor with only real roots is the
+    float nearest its root: the factor vanishes there or changes sign
+    within half an ulp of it, checked in Fractions.  Isolating the
+    roots from the Sturm chain alone gives the same floats."""
+    rng = random.Random(1717)
+    hosts = [random_hypertree(rng.randint(8, 13), 3 + j % 2, rng) for j in range(6)]
+    hosts += [power(random_hypertree(rng.randint(8, 14), 2, rng), 3) for _ in range(3)]
+    checked, factors = 0, []
+    for H in hosts:
+        for p in _distinct_polys(H, hypertree_walk(H), DEFAULT_MAX_SUBSETS):
+            for q, _ in squarefree_decomposition(p):
+                if spectra._sturm_counts(q)[0] == q.degree:
+                    factors.append(q)
+    assert len(factors) > 400
+    found = [alpha_roots(q) for q in factors]
+    for q, roots in zip(factors, found):
+        for a, _ in roots:
+            assert a.imag == 0
+            x = Fraction(a.real)
+            here = _rational_value(q.coeffs, x)
+            halfway = [
+                _rational_value(q.coeffs, (x + Fraction(math.nextafter(a.real, to))) / 2)
+                for to in (-math.inf, math.inf)
+            ]
+            assert here == 0 or any(here * h <= 0 for h in halfway), (q, a)
+            checked += 1
+    assert checked > 1200
+
+    def no_approximations(f, start):
+        raise OverflowError
+
+    monkeypatch.setattr(spectra, "_laguerre", no_approximations)
+    assert [alpha_roots(q) for q in factors] == found
+
+
+def test_real_rooted_factors_never_reach_aberth(monkeypatch):
+    def refuse(coeffs, rng):
+        raise AssertionError(f"Aberth called on {coeffs}")
+
+    monkeypatch.setattr(spectra, "_aberth", refuse)
+    assert len(alpha_roots(matching_polynomial(loose_path(40, 3)))) == 20
+    rng = random.Random(23)
+    for m in (6, 10, 14):
+        H = power(random_hypertree(m, 2, rng), 3)
+        assert set_spectrum(H).rotation_symmetric()
+    assert len(set_spectrum(star(40, 3)).values) == 121
 
 
 def test_roots_that_contradict_the_sturm_count_raise(monkeypatch):
@@ -437,6 +528,14 @@ def test_spectral_radius_is_max_spectrum_modulus():
     rho = spectral_radius(H)
     s = set_spectrum(H)
     assert max(abs(v) for v in s.values) == pytest.approx(rho, abs=1e-10)
+
+
+def test_max_spectrum_modulus_of_a_40_edge_path_is_its_radius():
+    # Aberth put the largest alpha root at 4.3095, where every root is
+    # below 4: the spectrum's largest modulus read 1.628855, rho 1.584441
+    H = loose_path(40, 3)
+    rho = spectral_radius(H)
+    assert max(abs(v) for v in set_spectrum(H).values) == pytest.approx(rho, rel=1e-14)
 
 
 def test_cyclotomic_verdicts():

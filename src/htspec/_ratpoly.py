@@ -3,7 +3,10 @@
 The one polynomial stack of the package: the ``AlphaPolynomial`` ops in
 ``matching``, the squarefree decomposition, the Sturm chains that count
 and isolate real roots, and the exact signs that bracket them all run on
-these plain ``list[int]`` helpers.  Remainders are
+these plain ``list[int]`` helpers.  ``sign_at`` gives the exact sign at
+a rational, ``variations`` a Sturm chain's sign changes there or at
+±inf, and ``real_root_count`` the chain's count of distinct real roots;
+they are the only sign and Sturm counting code.  Remainders are
 primitive pseudo-remainders: a is scaled by |lc(b)|^(deg a - deg b + 1)
 so every quotient step divides exactly, and the remainder is divided by
 its positive content.  Both factors are positive, so each remainder has
@@ -119,6 +122,29 @@ def sign_at(p: Sequence[int], num: int, den: int) -> int:
     """The sign (-1, 0 or 1) of p(num/den), from ``scaled_value``."""
     v = scaled_value(p, num, den)
     return (v > 0) - (v < 0)
+
+
+def variations(chain: Sequence[Sequence[int]], num: int, den: int) -> int:
+    """Sign changes along the nonzero polynomials of chain at num/den,
+    zeros skipped.  den = 0 stands for +inf (num > 0) or -inf (num < 0),
+    where each sign is read off the leading coefficient: no Horner sum
+    of leading powers."""
+    count, last = 0, 0
+    for p in chain:
+        if den:
+            s = sign_at(p, num, den)
+        else:
+            s = 1 if (p[-1] > 0) == (num > 0 or len(p) % 2 == 1) else -1
+        if s:
+            count += last == -s
+            last = s
+    return count
+
+
+def real_root_count(chain: Sequence[Sequence[int]]) -> int:
+    """Distinct real roots of chain[0], from its ``sturm_chain``: the
+    chain's sign variations at -inf minus those at +inf."""
+    return variations(chain, -1, 0) - variations(chain, 1, 0)
 
 
 def div_exact(a: Sequence[int], b: Sequence[int]) -> list[int]:

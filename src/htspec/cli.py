@@ -216,7 +216,8 @@ def _cmd_eigvec(args) -> int:
     payload = {
         "lambda": {"re": pair.lam.real, "im": pair.lam.imag},
         "residual": pair.residual,
-        "totally_nonzero": pair.totally_nonzero,
+        # both eigenvector calls raise unless every entry exceeds tol
+        "totally_nonzero": True,
         "x": [{"re": v.real, "im": v.imag} for v in pair.x],
     }
     if args.format == "json":

@@ -57,20 +57,15 @@ class CharPolyFactorization:
             self.k * base.degree * mult for base, mult in self.factors
         )
 
-    def multiplicity(self, phi: AlphaPolynomial) -> int:
-        """How many times phi divides the product of the bases with
-        multiplicity (x^power left out); the product is never formed.
-        The one-divisor case of ``multiplicities``."""
-        return self.multiplicities([phi])[0]
-
     def multiplicities(self, phis) -> list[int]:
-        """``multiplicity`` of each of phis.  The bases and every phi
-        factor over one coprime base (``_ratpoly.coprime_base``), up to
-        sign and content, so phi^n divides the product exactly when, for
-        every base element s, n * e_s(phi) <= sum of mult * e_s(base),
-        where e_s is ``_ratpoly.valuation``.  Each answer is the smallest
-        quotient over the s with e_s(phi) > 0.  ValidationError for a
-        constant phi.
+        """For each of phis, how many times it divides the product of the
+        bases with multiplicity (x^power left out); the product is never
+        formed.  The bases and every phi factor over one coprime base
+        (``_ratpoly.coprime_base``), up to sign and content, so phi^n
+        divides the product exactly when, for every base element s,
+        n * e_s(phi) <= sum of mult * e_s(base), where e_s is
+        ``_ratpoly.valuation``.  Each answer is the smallest quotient over
+        the s with e_s(phi) > 0.  ValidationError for a constant phi.
         """
         if any(phi.degree < 1 for phi in phis):
             raise ValidationError("multiplicity needs a non-constant divisor")

@@ -273,20 +273,6 @@ def comb_formula(k: int) -> AlphaPolynomial:
 # -- exact real-root count (Sturm) ---------------------------------------------
 
 
-def _variations(signs) -> int:
-    """Sign changes along a sequence of signs, zeros skipped."""
-    signs = [s for s in signs if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _real_root_count(chain: list[list[int]]) -> int:
-    """Distinct real roots of chain[0], from its ``_ratpoly.sturm_chain``:
-    the chain's sign variations at -inf minus those at +inf."""
-    at_plus = [1 if f[-1] > 0 else -1 for f in chain]
-    at_minus = [s if len(f) % 2 else -s for s, f in zip(at_plus, chain)]
-    return _variations(at_minus) - _variations(at_plus)
-
-
 def _sturm_counts(p: AlphaPolynomial) -> tuple[int, int]:
     """(distinct real roots, distinct roots) of p from one Sturm chain.
 
@@ -301,7 +287,7 @@ def _sturm_counts(p: AlphaPolynomial) -> tuple[int, int]:
     if p.degree < 1:
         return 0, 0
     chain = _rp.sturm_chain(p.coeffs)
-    return _real_root_count(chain), p.degree - len(chain[-1]) + 1
+    return _rp.real_root_count(chain), p.degree - len(chain[-1]) + 1
 
 
 def count_distinct_real_roots(p: AlphaPolynomial) -> int:

@@ -34,9 +34,7 @@ from .errors import (
 )
 from .matching import (
     AlphaPolynomial,
-    _real_root_count,
     _sturm_counts,
-    _variations,
     alpha_poly,
     alpha_str,
     horner,
@@ -272,41 +270,38 @@ def _newton(f: list[int], df: list[int], x: float) -> tuple[int, float]:
     return value, (x - value / (slope * den) if slope else x)
 
 
-def _sign_halfway(f: list[int], x: float, y: float) -> int:
-    """The exact sign of f halfway between the floats x and y."""
+def _halfway(x: float, y: float) -> tuple[int, int]:
+    """(num, den) with num/den exactly halfway between the floats x and y."""
     (a, b), (c, e) = x.as_integer_ratio(), y.as_integer_ratio()
-    return _rp.sign_at(f, a * e + c * b, 2 * b * e)
+    return a * e + c * b, 2 * b * e
 
 
-def _nearest_float(f: list[int], lo: float, hi: float, left: int) -> float:
-    """The float nearest the one root of f in (lo, hi], where f has the
-    sign ``left`` on (lo, root) and the opposite sign on (root, hi].
+def _nearest_float(above, lo: float, hi: float) -> float:
+    """The float nearest the point t where the exact monotone test
+    ``above(num, den)`` on rationals num/den turns true, given that it
+    is false just above lo and true at hi.
 
-    ``_bisect`` on exact signs down to adjacent floats lo < root <= hi,
-    then one exact sign at their midpoint picks the nearer.  A root that
-    is a float comes back as itself; one exactly halfway between two
-    floats, as the lower."""
-    lo, hi = _bisect(lambda x: _rp.sign_at(f, *x.as_integer_ratio()) != left, lo, hi)
-    return hi if _sign_halfway(f, lo, hi) == left else lo
+    ``_bisect`` down to adjacent floats with the same property, then
+    one test at their midpoint picks the nearer.  A t that is a float
+    comes back as itself; one exactly halfway between two floats, as
+    the lower when ``above`` holds at t and as the upper otherwise."""
+    lo, hi = _bisect(lambda x: above(*x.as_integer_ratio()), lo, hi)
+    return lo if above(*_halfway(lo, hi)) else hi
 
 
-def _gallop(
-    f: list[int], r: float, left: int, lo_bound: float, hi_bound: float
-) -> float | None:
-    """The float nearest the root of f near its approximation r, when a
-    sign change turns up strictly inside (lo_bound, hi_bound); else None.
+def _gallop(above, r: float, lo_bound: float, hi_bound: float) -> float | None:
+    """The float nearest the point where the exact monotone test
+    ``above(num, den)`` turns true, searched from its approximation r,
+    when the turn shows strictly inside (lo_bound, hi_bound); else None.
 
-    ``left`` is f's sign just left of the root.  The sign at r says on
-    which side of r the root lies; a root within half an ulp of r
-    returns r after one more exact sign, at that half-ulp point.  Beyond
-    it, steps of 1, 2, 4, ... ulps away from r find a point past the
-    root, and ``_nearest_float`` finishes the bracket.
+    The test at r says on which side of r the turn lies; one within
+    half an ulp of r returns r after one more test, at that half-ulp
+    point.  Beyond it, steps of 1, 2, 4, ... ulps away from r find a
+    point past the turn, and ``_nearest_float`` finishes the bracket.
     """
-    side = _rp.sign_at(f, *r.as_integer_ratio())
-    if side == 0:
-        return r
-    ahead = 1.0 if side == left else -1.0
-    if _sign_halfway(f, r, math.nextafter(r, ahead * math.inf)) != side:
+    side = above(*r.as_integer_ratio())
+    ahead = -1.0 if side else 1.0
+    if above(*_halfway(r, math.nextafter(r, ahead * math.inf))) != side:
         return r
     inner = math.nextafter(hi_bound if ahead > 0 else lo_bound, -ahead * math.inf)
     step, prev = math.ulp(r), r
@@ -316,14 +311,18 @@ def _gallop(
             x = inner
         if ahead * (x - prev) <= 0:
             return None
-        s = _rp.sign_at(f, *x.as_integer_ratio())
-        if s == 0:
-            return x
-        if s != side:
-            return _nearest_float(f, min(prev, x), max(prev, x), left)
+        if above(*x.as_integer_ratio()) != side:
+            return _nearest_float(above, min(prev, x), max(prev, x))
         if x == inner:
             return None
         prev, step = x, 2 * step
+
+
+def _crossed(f: list[int], left: int):
+    """The exact monotone test of ``_gallop`` and ``_nearest_float`` for
+    a root of f that f has the sign ``left`` just left of: whether
+    num/den is at or past it."""
+    return lambda num, den: _rp.sign_at(f, num, den) != left
 
 
 def _refine(f: list[int], lo: float, hi: float, left: int) -> float:
@@ -337,7 +336,7 @@ def _refine(f: list[int], lo: float, hi: float, left: int) -> float:
     it cannot, or when (lo, hi) closes first.  Neither evaluates f at
     lo or hi, which may be a root of a neighbouring interval.
     """
-    df = _rp.deriv(f)
+    df, crossed = _rp.deriv(f), _crossed(f, left)
     x = (lo + hi) / 2
     while lo < x < hi:
         value, step_to = _newton(f, df, x)
@@ -348,10 +347,10 @@ def _refine(f: list[int], lo: float, hi: float, left: int) -> float:
         else:
             hi = x
         if step_to == x:
-            root = _gallop(f, x, left, lo, hi)
-            return _nearest_float(f, lo, hi, left) if root is None else root
+            root = _gallop(crossed, x, lo, hi)
+            return _nearest_float(crossed, lo, hi) if root is None else root
         x = step_to if lo < step_to < hi else (lo + hi) / 2
-    return _nearest_float(f, lo, hi, left)
+    return _nearest_float(crossed, lo, hi)
 
 
 def _isolate(
@@ -365,13 +364,8 @@ def _isolate(
     variations (exact signs at floats); an interval with more than one
     root is halved.  Raises DidNotConverge when two roots lie between
     adjacent floats."""
-
-    def variations(x: float) -> int:
-        num, den = x.as_integer_ratio()
-        return _variations([_rp.sign_at(q, num, den) for q in chain])
-
     # V(hi) is V(+inf), and the d roots in (lo, hi) make V(lo) = V(hi) + d
-    v_hi = _variations([1 if q[-1] > 0 else -1 for q in chain])
+    v_hi = _rp.variations(chain, 1, 0)
     todo = [(lo, hi, v_hi + len(f) - 1, v_hi)]
     out = []
     while todo:
@@ -385,7 +379,7 @@ def _isolate(
                     f"{v_a - v_b} roots of a degree {len(f) - 1} factor "
                     "lie between adjacent floats"
                 )
-            v_mid = variations(mid)
+            v_mid = _rp.variations(chain, *mid.as_integer_ratio())
             todo += [(mid, b, v_mid, v_b), (a, mid, v_a, v_mid)]
     return sorted(out)
 
@@ -427,7 +421,7 @@ def _real_roots(f: list[int], chain: list[list[int]]) -> list[float]:
         and approx[-1] < hi
     ):
         roots = [
-            _gallop(f, r, left, below, above)
+            _gallop(_crossed(f, left), r, below, above)
             for r, left, below, above in zip(approx, lefts, [lo, *cuts], [*cuts, hi])
         ]
         if None not in roots:
@@ -488,7 +482,7 @@ def alpha_roots(p: AlphaPolynomial) -> list[tuple[complex, int]]:
     maxc = max(abs(c) for c in p.coeffs)
     try:
         for f, mult, chain in factors:
-            n_real = _real_root_count(chain)
+            n_real = _rp.real_root_count(chain)
             if n_real == len(f) - 1:
                 out += [(complex(r, 0.0), mult) for r in _real_roots(f, chain)]
                 continue
@@ -761,38 +755,28 @@ def spectral_radius(H: UniformHypergraph) -> float:
     u_root < 1 (the alpha-normal labeling of Lu and Man, Linear Algebra
     Appl. 509, 2016); O(mk) per test.  The same test on float labels
     gives a guess, which only picks where the exact search starts:
-    from it, exact tests gallop outwards (steps of 1, 2, 4, ... ulps)
-    until lo <= rho < hi, bisect that bracket down to adjacent floats
-    and test their midpoint to pick one.  A guess within an ulp of rho,
-    the usual case, costs 3 exact tests; one d ulps away costs about
-    2 log2(d) more.  Every returned bit is decided by exact tests.
+    ``_gallop``, the search that also brackets real alpha roots, runs
+    the exact test from it.  A guess that is already the nearest float,
+    the usual case, costs 2 exact tests (at the guess and half an ulp
+    towards rho); one d ulps away costs about 2 log2(d) more.  Every
+    returned bit is decided by exact tests.
     """
     order, children = _require_spectrum_input(H)
     if H.m == 0:
         raise ValidationError("spectral radius needs at least one edge")
 
-    def above(r, num=Fraction) -> bool:
-        u = _labels(order, children, num(r) ** H.k, lambda d: d <= 0)
+    def above(alpha) -> bool:
+        u = _labels(order, children, alpha, lambda d: d <= 0)
         return u is not None and u[order[0]] < 1
 
-    guess = _radius_guess(lambda r: above(r, float))
+    guess = _radius_guess(lambda r: above(r**H.k))
     if not 0 < guess < math.inf:
         guess = 1.0
-    step = math.ulp(guess)
-    if above(guess):
-        # rho > 0, so 0 bounds it from below without a test
-        lo, hi = guess - step, guess
-        while lo > 0 and above(lo):
-            hi, step = lo, 2 * step
-            lo = hi - step
-        lo = max(lo, 0.0)
-    else:
-        lo, hi = guess, guess + step
-        while not above(hi):
-            lo, step = hi, 2 * step
-            hi = lo + step
-    lo, hi = _bisect(above, lo, hi)
-    return lo if above((Fraction(lo) + Fraction(hi)) / 2) else hi
+    # 1 <= rho < inf (one edge alone has rho = 1), so the search finds
+    # rho strictly inside (0, inf) and never tests alpha = 0
+    return _gallop(
+        lambda num, den: above(Fraction(num, den) ** H.k), guess, 0.0, math.inf
+    )
 
 
 def is_cyclotomic_spectrum(
@@ -844,13 +828,12 @@ def _obstruction_poly(H: UniformHypergraph, edge: int) -> AlphaPolynomial:
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """Candidate eigenpair with its verified residual and support."""
+    """An eigenpair with its verified residual.  Every entry of x has
+    modulus above the tol it was checked at, so x is totally nonzero."""
 
     lam: complex
     x: tuple[complex, ...]
     residual: float
-    support: VertexSet
-    totally_nonzero: bool
 
 
 def eigen_residual(
@@ -1029,10 +1012,4 @@ def _checked(H, lam, x, tol) -> Eigenpair:
             f"residual {residual:.3e}, smallest entry "
             f"{min(abs(v) for v in x):.3e}"
         )
-    return Eigenpair(
-        lam=lam,
-        x=tuple(x),
-        residual=residual,
-        support=VertexSet.of(range(1, H.n + 1)),
-        totally_nonzero=True,
-    )
+    return Eigenpair(lam=lam, x=tuple(x), residual=residual)

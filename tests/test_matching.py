@@ -259,6 +259,24 @@ def test_sturm_on_known_polynomials():
 
 @settings(max_examples=200, deadline=None)
 @given(
+    roots=st.sets(st.integers(-20, 20), min_size=1, max_size=12),
+    scale=st.integers(-5, 5).filter(bool),
+    x=st.fractions(min_value=-25, max_value=25, max_denominator=10**4),
+)
+def test_sturm_variations_count_the_roots_above_a_rational(roots, scale, x):
+    # p = scale * prod (alpha - r): V(x) - V(+inf) counts the roots above
+    # x, also when x is itself a root; den = 0 reads the signs at +-inf
+    p = [scale]
+    for r in roots:
+        p = poly_mul(alpha_poly(p), alpha_poly([-r, 1])).coeffs
+    chain = _ratpoly.sturm_chain(p)
+    v_x = _ratpoly.variations(chain, x.numerator, x.denominator)
+    assert v_x - _ratpoly.variations(chain, 1, 0) == sum(r > x for r in roots)
+    assert _ratpoly.real_root_count(chain) == len(roots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
     coeffs=st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=40),
     x=st.floats(allow_nan=False, allow_infinity=False),
 )

@@ -488,6 +488,29 @@ def test_spectral_radius_float_guess_is_only_a_hint(monkeypatch, wrong):
     assert [spectral_radius(H) for H in hosts] == want
 
 
+@pytest.mark.parametrize(
+    "H",
+    [star(8, 3), loose_path(30, 3), loose_path(100, 3)],
+    ids=["star-8", "path-30", "path-100"],
+)
+def test_spectral_radius_from_the_nearest_float_takes_two_exact_tests(monkeypatch, H):
+    # one test at the guess, one half an ulp towards rho; rho = 2 exactly
+    # on star(8, 3), where the test at the guess is at rho itself
+    rho = spectral_radius(H)
+    exact = []
+    labels = spectra._labels
+
+    def counted(order, children, alpha, pole):
+        if isinstance(alpha, Fraction):
+            exact.append(alpha)
+        return labels(order, children, alpha, pole)
+
+    monkeypatch.setattr(spectra, "_radius_guess", lambda above: rho)
+    monkeypatch.setattr(spectra, "_labels", counted)
+    assert spectral_radius(H) == rho
+    assert len(exact) <= 2
+
+
 def test_spectral_radius_of_a_500_edge_path_within_budget():
     H = loose_path(500, 3)
     with helpers.Budget("spectral radius: 500-edge path, k = 3", 0.75):
@@ -691,7 +714,7 @@ def test_find_eigenvector_single_edge():
     pair = find_totally_nonzero_eigenvector(H, 1 + 0j)
     assert pair.x == (1 + 0j, 1 + 0j, 1 + 0j)
     assert pair.residual == 0
-    assert pair.totally_nonzero
+    assert len(pair.x) == H.n and all(abs(v) > 1e-8 for v in pair.x)
 
 
 def test_find_eigenvector_star_and_path():

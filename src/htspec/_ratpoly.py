@@ -72,6 +72,13 @@ def primitive(p: list[int]) -> list[int]:
     return [c // g for c in p] if g > 1 else p
 
 
+def positive_primitive(p: Sequence[int]) -> list[int]:
+    """p (nonzero) divided by its content, signed so that its lead is
+    positive."""
+    p = primitive(list(p))
+    return [-c for c in p] if p[-1] < 0 else p
+
+
 def rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Primitive pseudo-remainder: a positive multiple of a mod b."""
     lead = abs(b[-1])
@@ -86,8 +93,7 @@ def gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     sequence, normalized to be primitive with positive lead."""
     while b:
         a, b = b, rem(a, b)
-    a = primitive(list(a))
-    return [-c for c in a] if a and a[-1] < 0 else a
+    return positive_primitive(a) if a else []
 
 
 def sturm_chain(p: Sequence[int]) -> list[list[int]]:
@@ -183,8 +189,7 @@ def coprime_base(polys) -> list[list[int]]:
     todo = []
     for p in polys:
         if len(p) > 1:
-            p = primitive(list(p))
-            todo.append([-c for c in p] if p[-1] < 0 else p)
+            todo.append(positive_primitive(p))
     base: list[list[int]] = []
     while todo:
         a = todo.pop()

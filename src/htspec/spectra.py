@@ -20,7 +20,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from itertools import repeat
 
 from . import _ratpoly as _rp
@@ -72,6 +71,12 @@ def squarefree_decomposition(
     g = _rp.gcd(f, _rp.deriv(f))
     if len(g) <= 1:
         return [(p, 1)]
+    return _yun(f, g)
+
+
+def _yun(f: list[int], g: list[int]) -> list[tuple[AlphaPolynomial, int]]:
+    """Yun's loop of ``squarefree_decomposition`` for f, given
+    g = gcd(f, f'), primitive with positive lead and non-constant."""
     out: list[tuple[AlphaPolynomial, int]] = []
     b = _rp.div_exact(f, g)
     d = _rp.sub(_rp.div_exact(_rp.deriv(f), g), _rp.deriv(b))
@@ -281,11 +286,13 @@ def _nearest_float(above, lo: float, hi: float) -> float:
     ``above(num, den)`` on rationals num/den turns true, given that it
     is false just above lo and true at hi.
 
-    ``_bisect`` down to adjacent floats with the same property, then
-    one test at their midpoint picks the nearer.  A t that is a float
-    comes back as itself; one exactly halfway between two floats, as
-    the lower when ``above`` holds at t and as the upper otherwise."""
-    lo, hi = _bisect(lambda x: above(*x.as_integer_ratio()), lo, hi)
+    Bisection in floats down to adjacent floats with the same property,
+    then one test at their midpoint picks the nearer.  A t that is a
+    float comes back as itself; one exactly halfway between two floats,
+    as the lower when ``above`` holds at t and as the upper otherwise."""
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if above(*mid.as_integer_ratio()) else (mid, hi)
     return lo if above(*_halfway(lo, hi)) else hi
 
 
@@ -475,9 +482,10 @@ def alpha_roots(p: AlphaPolynomial) -> list[tuple[complex, int]]:
     if len(chain[-1]) == 1:
         factors = [(reduced, 1, chain)]
     else:
+        # the chain ends in gcd(p, p') up to a constant factor
         factors = [
             (list(q.coeffs), mult, _rp.sturm_chain(q.coeffs))
-            for q, mult in squarefree_decomposition(alpha_poly(reduced))
+            for q, mult in _yun(reduced, _rp.positive_primitive(chain[-1]))
         ]
     maxc = max(abs(c) for c in p.coeffs)
     try:
@@ -727,55 +735,172 @@ def set_spectrum(
     )
 
 
-def _bisect(above, lo: float, hi: float) -> tuple[float, float]:
-    """Narrow lo < hi, where not above(lo) and above(hi), to adjacent
-    floats with the same property."""
-    while math.nextafter(lo, hi) < hi:
-        mid = (lo + hi) / 2
-        lo, hi = (lo, mid) if above(mid) else (mid, hi)
-    return lo, hi
+def _matching_number(order, children) -> int:
+    """nu, the most edges in a matching of the hypertree whose
+    ``hypertree_walk`` is (order, children), by greedy matching: leaf to
+    root, a vertex takes its first child edge none of whose kids took an
+    edge of their own.  As for trees, such an edge can replace whatever
+    edge a maximum matching uses at the vertex.  O(mk), with no counts."""
+    taken = [False] * len(children)
+    for v in reversed(order):
+        taken[v] = any(
+            not any(taken[c] for c in kids) for _, kids in children[v]
+        )
+    return sum(taken)
 
 
-def _radius_guess(above) -> float:
-    """The float where the monotone test ``above`` turns true, searched
-    by doubling from 1 and then bisection; spectral_radius runs it on
-    float labels for a starting point only."""
+def _log_slope(order, children, alpha: float, nu: int) -> float | None:
+    """phi'/phi at alpha for the host's matching polynomial phi, from
+    one float pass of the ``_labels`` recursion that carries each
+    label's derivative u_v' along; None at a pole, where some
+    1 - u_v <= 0, the root's included: that is, unless alpha > rho^k.
+
+    phi(alpha) = alpha^nu prod_v (1 - u_v), so
+    phi'/phi = nu/alpha - sum_v u_v' / (1 - u_v); nu is
+    ``_matching_number``.
+    """
+    u = [0.0] * len(children)
+    du = [0.0] * len(children)
+    slope = nu / alpha
+    for v in reversed(order):
+        total = dtotal = 0.0
+        for _, kids in children[v]:
+            prod, dlog = 1.0, 0.0
+            for c in kids:
+                if u[c]:
+                    d = 1 - u[c]
+                    if d <= 0:
+                        return None
+                    prod /= d
+                    dlog += du[c] / d
+            total += prod
+            dtotal += prod * dlog
+            slope -= dlog
+        if total:
+            u[v] = total / alpha
+            du[v] = (dtotal - u[v]) / alpha
+    d = 1 - u[order[0]]
+    return None if d <= 0 else slope - du[order[0]] / d
+
+
+def _radius_guess(order, children, k: int) -> float:
+    """A float near rho, for ``_gallop`` to start from, by Newton's
+    method on phi from above (see ``spectral_radius``).
+
+    r doubles from 1 until ``_log_slope`` finds alpha = r^k above
+    rho^k, which brackets rho^k in [lo, hi).  Each pass at an alpha
+    above rho^k also gives the Newton iterate alpha - phi/phi'(alpha),
+    which never passes rho^k.  The bracket is bisected in floats while
+    the Newton step from hi covers less than half of it, as it does
+    while roots crowd just below rho^k (long loose paths); then Newton
+    runs from hi until an iterate stops falling or is no longer above
+    rho^k in floats.
+    """
+    nu = _matching_number(order, children)
+
+    def newton(alpha: float) -> float | None:
+        slope = _log_slope(order, children, alpha, nu)
+        return None if slope is None else alpha - 1 / slope
+
     lo, hi = 0.0, 1.0
-    while not above(hi):
-        lo, hi = hi, 2 * hi
-    return _bisect(above, lo, hi)[1]
+    nxt = newton(hi)
+    while nxt is None:
+        lo, hi = hi, 2**k * hi
+        nxt = newton(hi)
+    while 0 < 2 * (hi - nxt) < hi - lo:
+        mid = (lo + hi) / 2
+        step = newton(mid)
+        if step is None:
+            lo = mid
+        else:
+            hi, nxt = mid, step
+    while nxt < hi:
+        step = newton(nxt)
+        if step is None:
+            break
+        hi, nxt = nxt, step
+    return nxt ** (1 / k)
+
+
+def _above_radius(order, children, num: int, den: int) -> bool:
+    """Whether alpha = num/den (num, den > 0) lies above rho^k, exactly:
+    whether every 1 - u_v of the ``_labels`` recursion at alpha is > 0.
+
+    The labels run as integer pairs 1 - u_v = A_v/B_v, the matching
+    DP's count polynomials of v's subtree at t = -1/alpha
+    (``matching.fold_edge``), each scaled by num to its degree:
+    A_v(t) num^a, B_v(t) num^b.  The degrees a >= b are the matching
+    numbers of v's subtree with and without v, and a - b = 1 exactly
+    when ``_matching_number``'s rule takes an edge at v.  So the pairs
+    stay integers with no gcd and no division, B_v > 0 as long as every
+    A below is, and each sign is one integer compare.  A leaf's pair
+    (1, 1) is never stored, and each pair is dropped once its parent
+    has read it.
+    """
+    pairs = {}
+    for v in reversed(order):
+        a = b = 1
+        taken = False
+        for _, kids in children[v]:
+            pa = pb = 1
+            # the scaled degrees of a * pa and of t * b * pb differ by gap
+            gap = taken - 1
+            for c in kids:
+                pair = pairs.pop(c, None)
+                if pair is not None:
+                    pa *= pair[0]
+                    pb *= pair[1]
+                    gap += pair[2]
+            if gap < 0:
+                a, taken = num * a * pa - den * b * pb, True
+            else:
+                a = a * pa - den * num**gap * b * pb
+            b *= pa
+        if children[v]:
+            if a <= 0:
+                return False
+            pairs[v] = a, b, taken
+    return True
 
 
 def spectral_radius(H: UniformHypergraph) -> float:
     """rho(H) rounded to the nearest float; rho^k is the largest real
-    alpha root of H's matching polynomial.
+    alpha root of H's matching polynomial phi.
 
-    Exact test: r > rho iff the leaf-to-root labels u of ``_labels``
-    at alpha = r^k, in Fractions, keep every 1 - u_c > 0 and end with
-    u_root < 1 (the alpha-normal labeling of Lu and Man, Linear Algebra
-    Appl. 509, 2016); O(mk) per test.  The same test on float labels
-    gives a guess, which only picks where the exact search starts:
-    ``_gallop``, the search that also brackets real alpha roots, runs
-    the exact test from it.  A guess that is already the nearest float,
-    the usual case, costs 2 exact tests (at the guess and half an ulp
-    towards rho); one d ulps away costs about 2 log2(d) more.  Every
-    returned bit is decided by exact tests.
+    Exact test: r > rho iff the leaf-to-root labels u of ``_labels`` at
+    alpha = r^k keep every 1 - u_c > 0 and end with u_root < 1 (the
+    alpha-normal labeling of Lu and Man, Linear Algebra Appl. 509,
+    2016).  ``_above_radius`` runs it on integer pairs, O(mk) big-int
+    steps per test.  Every returned bit is decided by it: ``_gallop``,
+    the search that also brackets real alpha roots, runs it from a float
+    guess.  A guess that is already the nearest float, the usual case,
+    costs 2 exact tests (at the guess and half an ulp towards rho); one
+    d ulps away costs about 2 log2(d) more.
+
+    The guess is Newton's method on phi from above.  The labels are the
+    matching DP's A_v/B_v = 1 - u_v at t = -1/alpha, so
+    phi(alpha) = alpha^nu prod_v (1 - u_v) with nu the matching number,
+    and one float pass (``_log_slope``) gives phi'/phi.  Every root z of
+    phi is lambda^k for an eigenvalue lambda, so |z| <= rho^k and
+    Re z <= rho^k.  At alpha > rho^k each 1/(alpha - z) then has a
+    positive real part, and phi'/phi(alpha) = sum_z 1/(alpha - z) is at
+    least the term 1/(alpha - rho^k); the Newton step 1/(phi'/phi) is
+    at most alpha - rho^k, so no iterate passes rho^k.
     """
     order, children = _require_spectrum_input(H)
     if H.m == 0:
         raise ValidationError("spectral radius needs at least one edge")
-
-    def above(alpha) -> bool:
-        u = _labels(order, children, alpha, lambda d: d <= 0)
-        return u is not None and u[order[0]] < 1
-
-    guess = _radius_guess(lambda r: above(r**H.k))
+    k = H.k
+    guess = _radius_guess(order, children, k)
     if not 0 < guess < math.inf:
         guess = 1.0
     # 1 <= rho < inf (one edge alone has rho = 1), so the search finds
     # rho strictly inside (0, inf) and never tests alpha = 0
     return _gallop(
-        lambda num, den: above(Fraction(num, den) ** H.k), guess, 0.0, math.inf
+        lambda num, den: _above_radius(order, children, num**k, den**k),
+        guess,
+        0.0,
+        math.inf,
     )
 
 
@@ -861,11 +986,12 @@ def eigen_residual(
     return worst
 
 
-def _labels(order, children, alpha, pole):
+def _labels(order, children, alpha):
     """Leaf-to-root labels u_v = (1/alpha) sum_{child e}
-    prod_{c in e, c != v} 1/(1 - u_c), or None as soon as pole(1 - u_c)
-    holds; order and children come from ``hypertree_walk``.  A child with
-    u_c = 0 (a leaf) is skipped, which is exact.
+    prod_{c in e, c != v} 1/(1 - u_c), or None as soon as a
+    |1 - u_c| < 1e-9 makes a pole; order and children come from
+    ``hypertree_walk``.  A child with u_c = 0 (a leaf) is skipped, which
+    is exact.
     """
     u = [0] * len(children)
     for v in reversed(order):
@@ -876,7 +1002,7 @@ def _labels(order, children, alpha, pole):
                 if not u[c]:
                     continue
                 d = 1 - u[c]
-                if pole(d):
+                if abs(d) < 1e-9:
                     return None
                 prod /= d
             total += prod
@@ -896,7 +1022,7 @@ def _leaf_to_root_eigenvector(order, children, k, lam) -> list[complex] | None:
     root of the matching polynomial.  Vertex values are then recovered
     top-down from the y_e.
     """
-    u = _labels(order, children, lam**k, lambda d: abs(d) < 1e-9)
+    u = _labels(order, children, lam**k)
     if u is None:
         return None
     x: list[complex | None] = [None] * len(children)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 from htspec import (
@@ -89,6 +90,27 @@ def catalog_cyclotomic_verdict(catalog) -> bool:
     answers false from one subtree and true from the distinct-state DP,
     must agree with."""
     return all(real == distinct for real, distinct in map(_sturm_counts, catalog.polys))
+
+
+def fraction_above_radius(order, children, alpha: Fraction) -> bool:
+    """Whether alpha > rho^k, from the leaf-to-root labels
+    u_v = (1/alpha) sum_{child e} prod_{c in e, c != v} 1/(1 - u_c) in
+    Fractions over a ``hypertree_walk``: every 1 - u_c > 0 and
+    u_root < 1.  The reference that spectra._above_radius, which runs
+    the same labels on integer pairs without a gcd, must agree with."""
+    u = [Fraction(0)] * len(children)
+    for v in reversed(order):
+        total = Fraction(0)
+        for _, kids in children[v]:
+            prod = Fraction(1)
+            for c in kids:
+                d = 1 - u[c]
+                if d <= 0:
+                    return False
+                prod /= d
+            total += prod
+        u[v] = total / alpha
+    return u[order[0]] < 1
 
 
 def ladder_hosts():

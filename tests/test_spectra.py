@@ -47,7 +47,7 @@ from htspec.errors import (
     ValidationError,
 )
 from htspec.fixtures import hypergraph
-from htspec.matching import poly_pow
+from htspec.matching import matching_counts_tree, poly_pow
 from htspec.spectra import (
     squarefree_decomposition,
     zero_extend,
@@ -484,7 +484,7 @@ def test_spectral_radius_float_guess_is_only_a_hint(monkeypatch, wrong):
     want = [spectral_radius(H) for H in hosts]
     assert want[-1] == pytest.approx(2.0776144075911084, rel=1e-15)
     guess = spectra._radius_guess
-    monkeypatch.setattr(spectra, "_radius_guess", lambda above: wrong(guess(above)))
+    monkeypatch.setattr(spectra, "_radius_guess", lambda *walk: wrong(guess(*walk)))
     assert [spectral_radius(H) for H in hosts] == want
 
 
@@ -498,17 +498,79 @@ def test_spectral_radius_from_the_nearest_float_takes_two_exact_tests(monkeypatc
     # on star(8, 3), where the test at the guess is at rho itself
     rho = spectral_radius(H)
     exact = []
-    labels = spectra._labels
+    above_radius = spectra._above_radius
 
-    def counted(order, children, alpha, pole):
-        if isinstance(alpha, Fraction):
-            exact.append(alpha)
-        return labels(order, children, alpha, pole)
+    def counted(order, children, num, den):
+        exact.append((num, den))
+        return above_radius(order, children, num, den)
 
-    monkeypatch.setattr(spectra, "_radius_guess", lambda above: rho)
-    monkeypatch.setattr(spectra, "_labels", counted)
+    monkeypatch.setattr(spectra, "_radius_guess", lambda *walk: rho)
+    monkeypatch.setattr(spectra, "_above_radius", counted)
     assert spectral_radius(H) == rho
     assert len(exact) <= 2
+
+
+def _radius_oracle_hosts():
+    yield from helpers.ladder_hosts()
+    for t, k in ((50, 3), (100, 3), (40, 4), (30, 5)):
+        yield f"path-{t}-{k}", loose_path(t, k)
+    for t, k in ((100, 3), (60, 4), (20, 6)):
+        yield f"star-{t}-{k}", star(t, k)
+
+
+def test_integer_radius_test_agrees_with_fraction_labels():
+    # at rho, at its two neighbouring floats and at seeded rationals
+    # around it, whose numerators and denominators are not powers of 2
+    rng = random.Random(19)
+    seen = set()
+    for name, H in _radius_oracle_hosts():
+        order, children = hypertree_walk(H)
+        rho = spectral_radius(H)
+        points = [Fraction(math.nextafter(rho, to)) for to in (0, math.inf)]
+        points.append(Fraction(rho))
+        for _ in range(4):
+            scale = Fraction(rng.randint(-10**6, 10**6), 10**6 + rng.randint(1, 999))
+            points.append(Fraction(rho) * (1 + scale / rng.choice([2, 10**3, 10**9])))
+        got = [
+            spectra._above_radius(order, children, x.numerator**H.k, x.denominator**H.k)
+            for x in points
+        ]
+        want = [helpers.fraction_above_radius(order, children, x**H.k) for x in points]
+        assert got == want, name
+        assert got[:2] == [False, True], name
+        seen.update(got[3:])
+    assert seen == {False, True}
+
+
+def test_greedy_matching_number_is_the_top_count_index():
+    for name, H in _radius_oracle_hosts():
+        nu = spectra._matching_number(*hypertree_walk(H))
+        assert nu == len(matching_counts_tree(H).counts) - 1, name
+
+
+@pytest.mark.parametrize(
+    "H, want",
+    [
+        (loose_path(2000, 3), (4 * math.cos(math.pi / 2002) ** 2) ** (1 / 3)),
+        (star(2000, 4), 2000 ** (1 / 4)),
+        (random_hypertree(2000, 3, random.Random(1)), None),
+    ],
+    ids=["path-2000", "star-2000", "random-2000"],
+)
+def test_radius_guess_takes_at_most_30_float_passes(monkeypatch, H, want):
+    # bisecting the float guess down to adjacent floats took 54-56
+    passes = []
+    log_slope = spectra._log_slope
+
+    def counted(*args):
+        passes.append(args)
+        return log_slope(*args)
+
+    monkeypatch.setattr(spectra, "_log_slope", counted)
+    rho = spectral_radius(H)
+    assert len(passes) <= 30
+    if want is not None:
+        assert rho == pytest.approx(want, rel=1e-13)
 
 
 def test_spectral_radius_of_a_500_edge_path_within_budget():

@@ -15,6 +15,7 @@ coefficients and keeps degrees equal to matching numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import _ratpoly as _rp
@@ -273,6 +274,7 @@ def comb_formula(k: int) -> AlphaPolynomial:
 # -- exact real-root count (Sturm) ---------------------------------------------
 
 
+@lru_cache(maxsize=4096)
 def _sturm_counts(p: AlphaPolynomial) -> tuple[int, int]:
     """(distinct real roots, distinct roots) of p from one Sturm chain.
 
@@ -283,6 +285,8 @@ def _sturm_counts(p: AlphaPolynomial) -> tuple[int, int]:
     multiple of g: dividing the chain by g changes every sign at +-inf
     alike, so the variations count the distinct real roots without
     making p squarefree first, and p has deg p - deg g distinct roots.
+    A fixed-size LRU memo keyed by p computes each distinct p once
+    while it stays among the 4096 most recently asked for.
     """
     if p.degree < 1:
         return 0, 0

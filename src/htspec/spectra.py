@@ -19,7 +19,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 
 from . import _ratpoly as _rp
@@ -283,8 +283,9 @@ def _halfway(x: float, y: float) -> tuple[int, int]:
 
 def _nearest_float(above, lo: float, hi: float) -> float:
     """The float nearest the point t where the exact monotone test
-    ``above(num, den)`` on rationals num/den turns true, given that it
-    is false just above lo and true at hi.
+    ``above(num, den)`` on rationals num/den turns true, given that
+    that float lies in [lo, hi], as it does when the test is false just
+    above lo and true at hi.
 
     Bisection in floats down to adjacent floats with the same property,
     then one test at their midpoint picks the nearer.  A t that is a
@@ -304,11 +305,15 @@ def _gallop(above, r: float, lo_bound: float, hi_bound: float) -> float | None:
     The test at r says on which side of r the turn lies; one within
     half an ulp of r returns r after one more test, at that half-ulp
     point.  Beyond it, steps of 1, 2, 4, ... ulps away from r find a
-    point past the turn, and ``_nearest_float`` finishes the bracket.
+    point past the turn, and ``_nearest_float`` finishes the bracket,
+    which starts at r's neighbour when the first step crosses: the
+    half-ulp test already ruled r out.  A first step to that neighbour
+    is the answer itself.  No rational is tested twice.
     """
     side = above(*r.as_integer_ratio())
     ahead = -1.0 if side else 1.0
-    if above(*_halfway(r, math.nextafter(r, ahead * math.inf))) != side:
+    nxt = math.nextafter(r, ahead * math.inf)
+    if above(*_halfway(r, nxt)) != side:
         return r
     inner = math.nextafter(hi_bound if ahead > 0 else lo_bound, -ahead * math.inf)
     step, prev = math.ulp(r), r
@@ -319,7 +324,11 @@ def _gallop(above, r: float, lo_bound: float, hi_bound: float) -> float | None:
         if ahead * (x - prev) <= 0:
             return None
         if above(*x.as_integer_ratio()) != side:
-            return _nearest_float(above, min(prev, x), max(prev, x))
+            if x == nxt:
+                return x
+            # past the halfway point tested above, nxt is nearer than r
+            near = nxt if prev == r else prev
+            return _nearest_float(above, min(near, x), max(near, x))
         if x == inner:
             return None
         prev, step = x, 2 * step
@@ -464,11 +473,25 @@ def alpha_roots(p: AlphaPolynomial) -> list[tuple[complex, int]]:
     Raises DidNotConverge when Aberth misses that target, stalls or
     overflows floats, when its roots cannot be split as the Sturm count
     says, or when a real root cannot be told apart in floats.
+
+    Each distinct p is solved once while it stays among the 4096
+    polynomials most recently asked for: a fixed-size LRU memo keyed by
+    p holds the roots, and each call returns a fresh list of them.  The
+    roots are the same either way, since the solve is deterministic and
+    Aberth's generator is seeded per solve.  Errors are not memoized.
     """
+    return list(_alpha_roots(p))
+
+
+# fixed: room for all 2,351 distinct subtree polynomials of a random
+# 20-edge host, and a bound on what a long-lived process keeps
+@lru_cache(maxsize=4096)
+def _alpha_roots(p: AlphaPolynomial) -> tuple[tuple[complex, int], ...]:
+    """The roots of ``alpha_roots``, solved on each miss of its memo."""
     if p.degree < 0:
         raise ValidationError("the zero polynomial has no root set")
     if p.degree == 0:
-        return []
+        return ()
     rng = None
     # alpha = 0 roots come straight off the trailing zero coefficients
     zero_mult = next(i for i, c in enumerate(p.coeffs) if c)
@@ -477,7 +500,7 @@ def alpha_roots(p: AlphaPolynomial) -> list[tuple[complex, int]]:
     if zero_mult:
         out.append((0j, zero_mult))
     if len(reduced) == 1:
-        return out
+        return tuple(out)
     chain = _rp.sturm_chain(reduced)
     if len(chain[-1]) == 1:
         factors = [(reduced, 1, chain)]
@@ -508,7 +531,7 @@ def alpha_roots(p: AlphaPolynomial) -> list[tuple[complex, int]]:
             f"root refinement overflowed floats on degree {p.degree} polynomial"
         ) from None
     out.sort(key=lambda item: (item[0].real, item[0].imag))
-    return out
+    return tuple(out)
 
 
 def lift_to_x(alpha_root: complex, k: int) -> list[complex]:
@@ -536,35 +559,40 @@ class SpectrumSource:
 
 
 class _TolGrid:
-    """Values filed in square cells of side 2*tol.  A value within tol of
-    z lies in z's cell or one of its eight neighbours, so ``near`` gives
-    the answer of ``any(abs(z - v) <= tol for v in values)`` from nine
-    cells: O(1) expected when the values lie more than tol apart.
+    """Values filed in square cells of side 2*tol, each in its own cell
+    and in the cells to its left and right.  A value within tol of z
+    lies in z's cell or one of its eight neighbours, so it is filed in
+    z's cell or the one above or below it: ``near`` gives the answer of
+    ``any(abs(z - v) <= tol for v in values)`` from those three cells,
+    the answer a read of all nine neighbours would give.  O(1) expected
+    when the values lie more than tol apart.  Filing each value three
+    times costs memory: the 25,924 values of
+    ``set_spectrum(random_hypertree(20, 3, Random(1)))`` take 15.4 MiB of
+    grid where one cell per value took 5.9 MiB (tracemalloc).
     """
 
-    __slots__ = ("tol", "cells")
+    __slots__ = ("tol", "side", "cells")
 
     def __init__(self, tol: float, values):
         self.tol = tol
+        self.side = 2 * tol
         self.cells: dict[tuple[float, float], list[complex]] = {}
         for v in values:
             self.add(v)
 
-    def _cell(self, z: complex) -> tuple[float, float]:
-        side = 2 * self.tol
-        return z.real // side, z.imag // side
-
     def add(self, v: complex) -> None:
-        self.cells.setdefault(self._cell(v), []).append(v)
+        re, im = v.real // self.side, v.imag // self.side
+        cells = self.cells
+        for key in ((re - 1, im), (re, im), (re + 1, im)):
+            cells.setdefault(key, []).append(v)
 
     def near(self, z: complex) -> bool:
         tol, cells = self.tol, self.cells
-        re, im = self._cell(z)
-        for dre in (-1, 0, 1):
-            for dim in (-1, 0, 1):
-                for v in cells.get((re + dre, im + dim), ()):
-                    if abs(z - v) <= tol:
-                        return True
+        re, im = z.real // self.side, z.imag // self.side
+        for key in ((re, im - 1), (re, im), (re, im + 1)):
+            for v in cells.get(key, ()):
+                if abs(z - v) <= tol:
+                    return True
         return False
 
 
@@ -573,10 +601,12 @@ class SpectrumSet:
     """Deduplicated eigenvalue set with the tolerances that shaped it.
 
     ``sources`` gives each value's provenance, or is empty for none.
-    ``tol`` must be finite and > 0.  The first read builds a grid index
-    over the values in O(V), the same index ``set_spectrum`` dedups
-    with.  On values more than ``tol`` apart, as ``set_spectrum`` keeps
-    them, ``contains`` then costs O(1) and ``rotation_symmetric`` O(kV).
+    ``tol`` must be finite and > 0.  Reads go through a ``_TolGrid``
+    over the values: a set from ``set_spectrum`` reads the grid it was
+    deduplicated with, and any other set builds one on its first read,
+    in O(V).  On values more than ``tol`` apart, as ``set_spectrum``
+    keeps them, ``contains`` then costs O(1) and ``rotation_symmetric``
+    O(kV).
     """
 
     values: tuple[complex, ...]
@@ -687,16 +717,16 @@ def _distinct_lifts(lifts, tol, kept):
     value lies farther than tol from every value kept before it (the
     first accepted wins); return kept.
 
-    The kept values are filed in the ``_TolGrid`` that ``SpectrumSet``
-    reads, so each test costs O(1) expected and V lifts O(V), with the
-    decisions of a scan of every kept value.
+    The kept values are filed in a ``_TolGrid``, returned with kept for
+    ``SpectrumSet`` to read, so each test costs O(1) expected and V
+    lifts O(V), with the decisions of a scan of every kept value.
     """
     grid = _TolGrid(tol, (v for v, _ in kept))
     for lam, source in lifts:
         if not grid.near(lam):
             grid.add(lam)
             kept.append((lam, source))
-    return kept
+    return kept, grid
 
 
 def set_spectrum(
@@ -715,8 +745,9 @@ def set_spectrum(
     order; ``max_subsets`` then caps the DP's states, not subsets.
     Lifts are taken in that order, and one within ``tol`` of a value
     already kept is dropped, so the first accepted wins and keeps its
-    source.  The dedup runs on the grid index ``SpectrumSet.contains``
-    reads: O(V) expected over the lifts, after the root solves.  The
+    source.  The dedup runs on a grid index that the returned set
+    keeps for its reads: O(V) expected over the lifts, after the root
+    solves, which ``alpha_roots`` memoizes across calls.  The
     result is closed under multiplication by k-th roots of unity
     because lifts always arrive in complete families.
     """
@@ -725,14 +756,18 @@ def set_spectrum(
     polys = (
         _distinct_polys(H, walk, max_subsets) if catalog is None else catalog.polys
     )
-    kept = _distinct_lifts(_lifts(polys, H.k), tol, [(0j, None)])
+    kept, grid = _distinct_lifts(_lifts(polys, H.k), tol, [(0j, None)])
     kept.sort(key=lambda item: (item[0].real, item[0].imag))
-    return SpectrumSet(
+    spec = SpectrumSet(
         values=tuple(v for v, _ in kept),
         tol=tol,
         k=H.k,
         sources=tuple(src for _, src in kept),
     )
+    # the grid files exactly these values; the cached property reads
+    # the instance dict, so the set never builds a second one
+    vars(spec)["_grid"] = grid
+    return spec
 
 
 def _matching_number(order, children) -> int:

@@ -18,6 +18,7 @@ from htspec import (
     random_hypertree,
     star,
 )
+from htspec import spectra
 from htspec.fixtures import hypergraph
 from htspec.matching import _sturm_counts
 
@@ -58,6 +59,14 @@ def scan_distinct_lifts(lifts, tol, kept):
         if not any(abs(lam - v) <= tol for v, _ in kept):
             kept.append((lam, tag))
     return kept
+
+
+def clear_root_memos() -> None:
+    """Empty the memos of ``alpha_roots`` and ``_sturm_counts``, so that
+    the next call on any polynomial solves it again: a test that patches
+    a root solver must reach the patch, whatever ran before it."""
+    spectra._alpha_roots.cache_clear()
+    _sturm_counts.cache_clear()
 
 
 def upper_half_plane_roots(coeffs, rng) -> list[complex]:

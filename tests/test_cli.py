@@ -102,6 +102,7 @@ def test_alpha_index_exits_3_when_roots_contradict_the_sturm_count(
 ):
     from htspec import spectra
 
+    helpers.clear_root_memos()
     monkeypatch.setattr(spectra, "_aberth", helpers.upper_half_plane_roots)
     path = tmp_path / "h1.json"
     path.write_text(core.dumps(core.comb(3)))

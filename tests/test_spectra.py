@@ -123,6 +123,7 @@ def test_alpha_roots_returns_float_roots_exactly(monkeypatch):
     def no_approximations(f, start):
         raise OverflowError
 
+    helpers.clear_root_memos()
     monkeypatch.setattr(spectra, "_laguerre", no_approximations)
     for p, expected in polys:
         assert alpha_roots(p) == expected
@@ -178,6 +179,7 @@ def test_real_roots_are_nearest_floats_on_random_catalogs(monkeypatch):
     def no_approximations(f, start):
         raise OverflowError
 
+    helpers.clear_root_memos()
     monkeypatch.setattr(spectra, "_laguerre", no_approximations)
     assert [alpha_roots(q) for q in factors] == found
 
@@ -186,6 +188,7 @@ def test_real_rooted_factors_never_reach_aberth(monkeypatch):
     def refuse(coeffs, rng):
         raise AssertionError(f"Aberth called on {coeffs}")
 
+    helpers.clear_root_memos()
     monkeypatch.setattr(spectra, "_aberth", refuse)
     assert len(alpha_roots(matching_polynomial(loose_path(40, 3)))) == 20
     rng = random.Random(23)
@@ -201,6 +204,7 @@ def test_roots_that_contradict_the_sturm_count_raise(monkeypatch):
 
     # comb_formula(3) has one real root; three upper half-plane roots
     # leave two that cannot pair as conjugates
+    helpers.clear_root_memos()
     monkeypatch.setattr(spectra, "_aberth", helpers.upper_half_plane_roots)
     with pytest.raises(DidNotConverge, match="conjugate pairs"):
         alpha_roots(comb_formula(3))
@@ -212,6 +216,54 @@ def test_alpha_roots_zero_roots_and_validation():
     with pytest.raises(ValidationError):
         alpha_roots(alpha_poly([]))
     assert alpha_roots(alpha_poly([7])) == []
+
+
+def _small_ladder_hosts():
+    """The 78 ladder hosts with at most 60 edges and 500 distinct subtree
+    polynomials.  With the other 26, a cold and a warm spectrum of every
+    host take about three minutes on a 2-core machine."""
+    for name, H in helpers.ladder_hosts():
+        if H.m <= 60:
+            polys = _distinct_polys(H, hypertree_walk(H), DEFAULT_MAX_SUBSETS)
+            if len(polys) <= 500:
+                yield name, H
+
+
+def test_set_spectrum_does_not_depend_on_what_the_root_memo_holds():
+    hosts = list(_small_ladder_hosts())
+    assert len(hosts) == 78
+    cold = {}
+    for name, H in hosts:
+        helpers.clear_root_memos()
+        cold[name] = set_spectrum(H)
+    helpers.clear_root_memos()
+    for name, H in reversed(hosts):
+        s = set_spectrum(H)
+        assert (s.values, s.sources) == (cold[name].values, cold[name].sources), name
+
+
+def test_alpha_roots_returns_a_fresh_list_each_call():
+    p = comb_formula(3)
+    roots = alpha_roots(p)
+    want = list(roots)
+    roots[0] = (9j, 1)
+    roots.append((7j, 2))
+    assert alpha_roots(p) == want
+    assert alpha_roots(p) is not alpha_roots(p)
+
+
+def test_a_failed_root_solve_is_not_memoized(monkeypatch):
+    from htspec.errors import DidNotConverge
+
+    p = comb_formula(3)
+    helpers.clear_root_memos()
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "_aberth", helpers.upper_half_plane_roots)
+        with pytest.raises(DidNotConverge):
+            alpha_roots(p)
+    roots = alpha_roots(p)
+    assert len(roots) == 3
+    assert sum(z.imag == 0 for z, _ in roots) == 1
 
 
 def test_squarefree_reconstruction():
@@ -355,6 +407,23 @@ def test_contains_agrees_with_the_linear_scan(tol, scale, points, k, angles):
         assert s.contains(complex(re, im)) is False
 
 
+@pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.3])
+def test_contains_on_a_set_spectrum_reads_its_dedup_grid(tol):
+    s = set_spectrum(random_hypertree(9, 3, random.Random(5)), tol=tol)
+    grid = vars(s)["_grid"]  # handed over by set_spectrum, not built here
+    probes = [
+        v * cmath.exp(2j * cmath.pi * j / 3) + tol * r * cmath.exp(1j * theta)
+        for v in s.values
+        for j in range(3)
+        for r in (0.0, 1 - EDGE, 1 + EDGE, 2.0)
+        for theta in (0.0, math.pi / 2, 0.7, math.pi, 4.0)
+    ]
+    for z in probes:
+        assert s.contains(z) == helpers.linear_contains(s.values, tol, z), z
+    assert s.rotation_symmetric()
+    assert vars(s)["_grid"] is grid
+
+
 def test_rotation_symmetric_fails_on_a_missing_or_moved_copy():
     tol = 1e-8
     assert SpectrumSet((0j, 1 + 0j), tol, 3).rotation_symmetric() is False
@@ -420,7 +489,7 @@ def test_distinct_lifts_agrees_with_the_scan(tol, scale, centres, steps, angles,
     order.shuffle(values)
     lifts = [(v, i) for i, v in enumerate(values)]
     start = [(0j, None)]
-    got = spectra._distinct_lifts(iter(lifts), tol, list(start))
+    got, _ = spectra._distinct_lifts(iter(lifts), tol, list(start))
     assert got == helpers.scan_distinct_lifts(lifts, tol, list(start))
 
 
@@ -508,6 +577,38 @@ def test_spectral_radius_from_the_nearest_float_takes_two_exact_tests(monkeypatc
     monkeypatch.setattr(spectra, "_above_radius", counted)
     assert spectral_radius(H) == rho
     assert len(exact) <= 2
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0, 0.7, 2.0**-3])
+def test_gallop_tests_no_rational_twice(r):
+    # turns f ulps from r on either side; below a power of two the floats
+    # lie half an ulp apart, so a first step of one ulp down skips one
+    for f in (-5.3, -1.3, -0.7, -0.35, -0.1, 0.0, 0.1, 0.35, 0.7, 1.3, 5.3):
+        turn = Fraction(r) + Fraction(f) * Fraction(math.ulp(r))
+        tested = []
+
+        def above(num, den):
+            tested.append((num, den))
+            return Fraction(num, den) >= turn
+
+        assert spectra._gallop(above, r, 0.0, math.inf) == float(turn), f
+        assert len(tested) == len(set(tested)), f
+
+
+def test_spectral_radius_tests_no_rational_twice(monkeypatch):
+    # its float guess lies one ulp from rho, so the first step crosses
+    H = random_hypertree(500, 3, random.Random(1))
+    rho = spectral_radius(H)
+    exact = []
+    above_radius = spectra._above_radius
+
+    def counted(order, children, num, den):
+        exact.append((num, den))
+        return above_radius(order, children, num, den)
+
+    monkeypatch.setattr(spectra, "_above_radius", counted)
+    assert spectral_radius(H) == rho
+    assert len(exact) == len(set(exact)) == 3
 
 
 def _radius_oracle_hosts():

@@ -194,39 +194,25 @@ def matching_counts_bruteforce(
     return MatchingCounts(tuple(counts))
 
 
-def add_shifted(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Counts ``a + x*b``: matchings of ``b`` gain one edge."""
-    out = list(a) + [0] * (len(b) + 1 - len(a))
-    for i, c in enumerate(b):
-        out[i + 1] += c
-    return out
-
-
-def fold_edge(
-    a: Sequence[int], b: Sequence[int], pa: Sequence[int], pb: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """Vertex v's count lists (A_v, B_v) after folding in a child edge.
-
-    A_v counts all matchings below v and B_v those leaving v uncovered;
-    pa and pb are the products of the edge's children's A and B lists:
-
-        A_v <- A_v * pa + x * B_v * pb
-        B_v <- B_v * pa
-    """
-    return add_shifted(convolve(a, pa), convolve(b, pb)), convolve(b, pa)
-
-
 def matching_counts_tree(H: UniformHypergraph) -> MatchingCounts:
     """Exact matching counts of a hyperforest by a leaf-to-root recurrence.
 
     Each component is rooted at its smallest vertex.  Vertex v keeps two
-    count lists over its subtree, A_v and B_v, and folds in each child
-    edge with ``fold_edge``; the forest's counts are the product of the
-    roots' A.  Vertices are visited in reverse ``rooted_walk`` order, so
-    there is no recursion, and the walk raises NotAHyperforest on a
-    cycle.  Merging two parts costs the product of their list lengths,
-    so the total is O(m^2) coefficient operations at most, reached on
-    long loose paths.
+    count lists over its subtree, A_v counting all matchings and B_v
+    those leaving v uncovered.  With pa and pb the products of a child
+    edge's children's A and B lists, folding in that edge is
+
+        A_v <- A_v * pa + x * B_v * pb
+        B_v <- B_v * pa
+
+    and the forest's counts are the product of the roots' A.  Vertices
+    are visited in reverse ``rooted_walk`` order, so there is no
+    recursion, and the walk raises NotAHyperforest on a cycle.  Merging
+    two parts costs the product of their list lengths, so the total is
+    O(m^2) coefficient operations at most, reached on long loose paths.
+    The lists are not packed into ints as in ``subtrees._fold``: the
+    coefficients range over hundreds of bits on long paths, so uniform
+    slots waste most of each product (2x slower on loose_path(1000, 3)).
     """
     order, children = rooted_walk(H)
     A: list = [None] * (H.n + 1)
@@ -241,7 +227,11 @@ def matching_counts_tree(H: UniformHypergraph) -> MatchingCounts:
                 # freed at once: a long path would otherwise keep
                 # O(m^2) big coefficients alive
                 A[c] = B[c] = None
-            a, b = fold_edge(a, b, pa, pb)
+            a = convolve(a, pa)
+            a += [0] * (len(b) + len(pb) - len(a))
+            for j, y in enumerate(convolve(b, pb), 1):
+                a[j] += y
+            b = convolve(b, pa)
         A[v], B[v] = a, b
     total = [1]
     for a in A:  # only the roots' counts are left

@@ -749,10 +749,16 @@ def set_spectrum(
     keeps for its reads: O(V) expected over the lifts, after the root
     solves, which ``alpha_roots`` memoizes across calls.  The
     result is closed under multiplication by k-th roots of unity
-    because lifts always arrive in complete families.
+    because lifts always arrive in complete families.  ValidationError
+    when ``catalog.host`` is not H.
     """
     _require_tol(tol)
     walk = _require_spectrum_input(H)
+    if catalog is not None and catalog.host != H:
+        raise ValidationError(
+            f"the catalog is of another host ({catalog.host.n} vertices, "
+            f"{catalog.host.m} edges) than H ({H.n} vertices, {H.m} edges)"
+        )
     polys = (
         _distinct_polys(H, walk, max_subsets) if catalog is None else catalog.polys
     )
@@ -863,7 +869,7 @@ def _above_radius(order, children, num: int, den: int) -> bool:
 
     The labels run as integer pairs 1 - u_v = A_v/B_v, the matching
     DP's count polynomials of v's subtree at t = -1/alpha
-    (``matching.fold_edge``), each scaled by num to its degree:
+    (``matching.matching_counts_tree``), each scaled by num to its degree:
     A_v(t) num^a, B_v(t) num^b.  The degrees a >= b are the matching
     numbers of v's subtree with and without v, and a - b = 1 exactly
     when ``_matching_number``'s rule takes an edge at v.  So the pairs

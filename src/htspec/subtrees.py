@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .core import UniformHypergraph, hypertree_walk, induced, vertex_union
 from .errors import CatalogTooLarge
-from .matching import AlphaPolynomial, MatchingCounts, convolve, fold_edge
-from .matching import poly_to_json, to_alpha_poly
+from .matching import AlphaPolynomial, MatchingCounts, poly_to_json, to_alpha_poly
 
 DEFAULT_MAX_SUBSETS = 10**6
 
@@ -73,28 +72,112 @@ class SubtreeCatalog:
         }
 
 
+def _fold(H: UniformHypergraph, walk, max_states: int, masks: bool):
+    """Yield, for each vertex v of H's ``hypertree_walk``, leaves first,
+    the set of packed (A, B, mask) states of the edge subsets topped at
+    v, the empty subset's (1, 1, 0) included.
+
+    Each component is rooted at its smallest vertex, and every connected
+    subset has exactly one top vertex, the one nearest the root.  Vertex
+    v starts from the empty state.  Folding in a child edge e joins
+    every old state with every option for e: e itself together with one
+    state, possibly empty, per child of e.  A and B count the matchings
+    of the subset below v, all of them and those leaving v uncovered.
+
+    Each count list is packed into one int, slot i holding the number
+    of i-matchings in bits [i*w, (i+1)*w) with w = m + 1.  A join is
+    then A' = sa*pa + (sb*pb << w), B' = sb*pa, mask' = sm | pm, and the
+    products over an edge's children are int multiplies.  Slots never
+    carry: every coefficient of every product and sum counts the
+    i-matchings of a subforest of H, which is at most C(m, i) <= 2^m <
+    2^w.  Ints also hash cheaply, which makes the per-vertex sets cheap.
+
+    With ``masks``, each option for e starts with mask 1 << e, so no two
+    subsets share a state and v's set holds one state per subset topped
+    at v: each subset is built once, by one join from smaller ones.
+    Without, every mask is 0 and v keeps only the distinct (A, B) states:
+    two subsets with equal (A, B) give equal states after every later
+    join, so the nontrivial A over all vertices are still exactly the
+    catalog's count lists.  The cost then follows the number of distinct
+    states: m nonempty ones at the centre of ``star(m, k)``, which has
+    2^m - 1 subsets, about m^2 / 2 on loose paths, and still exponential
+    where the distinct polynomials are.
+
+    CatalogTooLarge, naming the edge being folded, as soon as the
+    distinct nonempty states built so far pass ``max_states``.  They are
+    counted after each row of a product, so no set outgrows the cap by
+    more than one row.  A child edge's set of options counts too: each
+    option gives the edge a distinct nonempty state, so options past the
+    cap mean states past it, and the early refusal never turns away a
+    host whose states fit.  Each vertex's set is dropped once its parent
+    has read it.
+    """
+    order, children = walk
+    w = H.m + 1
+    states: list = [None] * (H.n + 1)
+    built = 0
+
+    def refuse(i):
+        return CatalogTooLarge(
+            f"more than {max_states} distinct (A, B) states, "
+            f"refused while folding edge {list(H.edges[i])}"
+        )
+
+    for v in reversed(order):
+        top = {(1, 1, 0)}
+        room = max_states - built + 1  # top's size limit, (1, 1, 0) included
+        for i, kids in children[v]:
+            options = {(1, 1, 1 << i if masks else 0)}
+            for c in kids:
+                grown = set()
+                for pa, pb, pm in options:
+                    grown.update([(pa * a, pb * b, pm | m) for a, b, m in states[c]])
+                    if len(grown) > max_states:
+                        raise refuse(i)
+                options = grown
+                states[c] = None
+            old = tuple(top)
+            for pa, pb, pm in options:
+                top.update(
+                    [(sa * pa + (sb * pb << w), sb * pa, sm | pm) for sa, sb, sm in old]
+                )
+                if len(top) > room:
+                    raise refuse(i)
+        built += len(top) - 1
+        states[v] = top
+        yield top
+
+
+def _ranked_polys(packed: set[int], w: int) -> list[tuple[int, AlphaPolynomial]]:
+    """Each packed A count list of ``_fold`` (slots of w bits) with its
+    alpha polynomial, sorted by (degree, coefficients)."""
+    slot = (1 << w) - 1
+    ranked = []
+    for a in packed:
+        counts = []
+        rest = a
+        while rest:
+            counts.append(rest & slot)
+            rest >>= w
+        ranked.append((a, to_alpha_poly(MatchingCounts(tuple(counts)))))
+    ranked.sort(key=lambda ap: (ap[1].degree, ap[1].coeffs))
+    return ranked
+
+
 def _subtree_counts(
     H: UniformHypergraph, max_subsets: int
-) -> list[tuple[EdgeSubset, tuple[int, ...]]]:
-    """Every nonempty connected edge subset of H with its matching counts,
-    in (size, indices) order.
-
-    Each component is rooted at its smallest vertex (``hypertree_walk``),
-    and every connected subset has exactly one top vertex, the one
-    nearest the root.  Visiting vertices leaves first, vertex v keeps
-    one state (edge mask, A, B) per subset topped at v, starting from
-    the empty state.  Folding in a child edge e appends every old state
-    joined with every option for e: e itself together with one state,
-    possibly empty, per child, joined by ``matching.fold_edge`` as in
-    ``matching_counts_tree``.  So each subset is built once, by one
-    fold step from smaller ones.
+) -> list[tuple[EdgeSubset, int]]:
+    """Every nonempty connected edge subset of H with its packed A count
+    list from ``_fold``, in (size, indices) order.
 
     Subsets topped at v number T(v) - 1, where T(v) is the product over
     v's child edges of 1 + the product of the children's T.  That count
-    is checked against ``max_subsets`` before any state is built.
-    NotAHypertree, from the walk, unless H is one.
+    is checked against ``max_subsets`` before any state is built, so the
+    fold itself never reaches its cap.  NotAHypertree, from the walk,
+    unless H is one.
     """
-    order, children = hypertree_walk(H)
+    walk = hypertree_walk(H)
+    order, children = walk
     tops = [1] * (H.n + 1)  # T(v), the empty subset included
     for v in reversed(order):
         for _, kids in children[v]:
@@ -105,122 +188,26 @@ def _subtree_counts(
             f"more than {max_subsets} connected edge subsets: "
             f"the host has {total}"
         )
-    # one tuple per distinct count list, shared by all subsets having it
-    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def join(state, option):
-        a, b = fold_edge(state[1], state[2], option[1], option[2])
-        a = tuple(a)
-        return state[0] | option[0], interned.setdefault(a, a), b
-
-    states: list = [None] * (H.n + 1)
-    found = []
-    for v in reversed(order):
-        top = [(0, (1,), (1,))]
-        for i, kids in children[v]:
-            options = [(1 << i, (1,), (1,))]
-            for c in kids:
-                options = [
-                    (mask | mc, convolve(pa, a), convolve(pb, b))
-                    for mask, pa, pb in options
-                    for mc, a, b in states[c]
-                ]
-                states[c] = None
-            top += [join(state, option) for state in top for option in options]
-        states[v] = top
-        found += [(mask, a) for mask, a, _ in top[1:]]
-    # the last states go before the EdgeSubsets come, which lowers the peak
-    del states, top
+    fold = _fold(H, walk, max_subsets, True)
+    found = [(mask, a) for top in fold for a, _, mask in top if mask]
+    # the fold's states are gone before the EdgeSubsets come, which lowers the peak
     for j, (mask, a) in enumerate(found):
         found[j] = EdgeSubset.from_mask(mask), a
-    found.sort(key=lambda sc: (len(sc[0]), sc[0].indices))
+    found.sort(key=lambda sa: (len(sa[0]), sa[0].indices))
     return found
 
 
 def _distinct_polys(
     H: UniformHypergraph, walk, max_states: int
 ) -> tuple[AlphaPolynomial, ...]:
-    """``distinct_matching_polynomials(H).polys``, without listing subsets.
-
-    The fold of ``_subtree_counts`` over H's ``hypertree_walk``, but
-    vertex v keeps the set of distinct (A, B) states of the subsets
-    topped at v, not one state per subset: two subsets with equal
-    (A, B) give equal states after every later fold, so the nontrivial
-    A over all vertices are exactly the catalog's count tuples.  The
-    cost follows the number of distinct states: m nonempty ones at the
-    centre of ``star(m, k)``, which has 2^m - 1 subsets, about m^2 / 2
-    on loose paths, and still exponential where the distinct
-    polynomials are.
-
-    Each count list is packed into one int, slot i holding the number
-    of i-matchings in bits [i*w, (i+1)*w) with w = m + 1.  A fold is
-    then A' = sa*pa + (sb*pb << w), B' = sb*pa, and the products over a
-    child edge's children are int multiplies.  Slots never carry: every
-    coefficient of every product and sum counts the i-matchings of a
-    subforest of H, which is at most C(m, i) <= 2^m < 2^w.  Ints also
-    hash cheaply, which makes the per-vertex sets cheap.
-
-    CatalogTooLarge, naming the edge being folded, as soon as the
-    distinct nonempty states built so far pass ``max_states``.  They are
-    counted after each row of a product, so no set outgrows the cap by
-    more than one row.  A child edge's set of options counts too: each
-    option gives the edge a distinct nonempty state, so options past the
-    cap mean states past it, and the early refusal never turns away a
-    host whose states fit.
-
-    The catalog's own fold keeps its count lists.  Packed, it took half
-    the time on the benchmark's m = 24 catalog anchor, but the
-    benchmark reads peak memory as the high-water mark of a process
-    that then ran more passes, and that reading passed its bound.
-    ``matching_counts_tree`` keeps them too: its coefficients range
-    over hundreds of bits on long paths, so uniform slots waste most of
-    each product (2x slower on loose_path(1000, 3)).  No state records
-    the subset that realized it.
+    """``distinct_matching_polynomials(H).polys``, without listing subsets:
+    the maskless ``_fold`` over ``walk``, capped at ``max_states``
+    distinct nonempty (A, B) states.  No state records the subset that
+    realized it.
     """
-    order, children = walk
-    w = H.m + 1
-    states: list = [None] * (H.n + 1)
-    found: set[int] = set()
-    built = 0
-
-    def refuse(i):
-        return CatalogTooLarge(
-            f"more than {max_states} distinct (A, B) states, "
-            f"refused while folding edge {list(H.edges[i])}"
-        )
-
-    for v in reversed(order):
-        top = {(1, 1)}
-        room = max_states - built + 1  # top's size limit, (1, 1) included
-        for i, kids in children[v]:
-            options = {(1, 1)}
-            for c in kids:
-                grown = set()
-                for pa, pb in options:
-                    grown.update([(pa * a, pb * b) for a, b in states[c]])
-                    if len(grown) > max_states:
-                        raise refuse(i)
-                options = grown
-                states[c] = None
-            old = tuple(top)
-            for pa, pb in options:
-                top.update([(sa * pa + (sb * pb << w), sb * pa) for sa, sb in old])
-                if len(top) > room:
-                    raise refuse(i)
-        built += len(top) - 1
-        states[v] = top
-        found.update(a for a, _ in top)
+    found = {a for top in _fold(H, walk, max_states, False) for a, _, _ in top}
     found.discard(1)
-    slot = (1 << w) - 1
-    polys = []
-    for a in found:
-        counts = []
-        while a:
-            counts.append(a & slot)
-            a >>= w
-        polys.append(to_alpha_poly(MatchingCounts(tuple(counts))))
-    polys.sort(key=lambda p: (p.degree, p.coeffs))
-    return tuple(polys)
+    return tuple(p for _, p in _ranked_polys(found, H.m + 1))
 
 
 def connected_edge_subsets(
@@ -230,7 +217,7 @@ def connected_edge_subsets(
     (size, indices) order.
 
     Each subset is built once from its top vertex by the leaf-to-root
-    fold of ``_subtree_counts``; no vertex subset scan is involved.
+    ``_fold``; no vertex subset scan is involved.
     CatalogTooLarge when there are more than ``max_subsets``, raised
     from an up-front count before any subset is built.
     """
@@ -257,22 +244,22 @@ def distinct_matching_polynomials(
 ) -> SubtreeCatalog:
     """Catalog every connected induced subtree with its matching polynomial.
 
-    The leaf-to-root fold of ``_subtree_counts`` builds each connected
-    edge subset once, from its top vertex, together with its matching
-    counts, so the catalog's cost follows its size, which is exponential
-    in m on bushy trees and quadratic on loose paths.  The count tuple
-    is the dedup key: it and the alpha polynomial determine each other,
-    so each distinct tuple is converted once.  CatalogTooLarge, from an
-    up-front count, when there are more than ``max_subsets`` subsets.
-    Vertex-only subtrees (polynomial 1, no roots) are not represented.
+    The leaf-to-root ``_fold``, with edge masks, builds each connected
+    edge subset once, from its top vertex, together with its packed
+    matching counts, so the catalog's cost follows its size, which is
+    exponential in m on bushy trees and quadratic on loose paths.  The
+    packed count list is the dedup key: it and the alpha polynomial
+    determine each other, so each distinct one is converted once.
+    CatalogTooLarge, from an up-front count, when there are more than
+    ``max_subsets`` subsets.  Vertex-only subtrees (polynomial 1, no
+    roots) are not represented.
     """
     found = _subtree_counts(H, max_subsets)
-    poly = {c: to_alpha_poly(MatchingCounts(c)) for c in {c for _, c in found}}
-    order = sorted(poly, key=lambda c: (poly[c].degree, poly[c].coeffs))
-    rank = {c: i for i, c in enumerate(order)}
+    ranked = _ranked_polys({a for _, a in found}, H.m + 1)
+    rank = {a: j for j, (a, _) in enumerate(ranked)}
     return SubtreeCatalog(
         host=H,
         subsets=tuple(s for s, _ in found),
-        polys=tuple(poly[c] for c in order),
-        poly_of_subset=tuple(rank[c] for _, c in found),
+        polys=tuple(p for _, p in ranked),
+        poly_of_subset=tuple(rank[a] for _, a in found),
     )

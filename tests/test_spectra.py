@@ -770,6 +770,15 @@ def test_every_spectrum_value_has_a_subtree_witness():
             assert eigen_residual(H, lam, extended) <= 1e-8
 
 
+def test_set_spectrum_refuses_another_hosts_catalog():
+    H = loose_path(1, 3)
+    with pytest.raises(ValidationError, match="another host"):
+        set_spectrum(H, catalog=distinct_matching_polynomials(comb(3)))
+    # an equal host built apart is the same host
+    s = set_spectrum(H, catalog=distinct_matching_polynomials(loose_path(1, 3)))
+    assert len(s.values) == 4
+
+
 def test_distinct_polys_and_cyclotomic_verdict_match_the_catalog_on_the_ladder():
     refused = []
     for name, H in helpers.ladder_hosts():

@@ -202,6 +202,8 @@ def test_catalog_polys_match_per_subset_dp():
     hosts = [random_hypertree(6, 3, rng)]
     hosts += [random_hypertree(rng.randint(7, 10), k, rng) for k in (3, 4, 3, 4)]
     hosts += [star(12, 3), power(random_hypertree(9, 2, rng), 3)]
+    # 820 subsets with 41-bit slots, and a k = 5 host
+    hosts += [loose_path(40, 3), random_hypertree(10, 5, rng)]
     for H in hosts:
         catalog = distinct_matching_polynomials(H)
         witnesses = [

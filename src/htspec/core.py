@@ -241,17 +241,6 @@ def induced(H: UniformHypergraph, U: VertexSet | Iterable[int]) -> UniformHyperg
     return build(H.k, len(members), sub_edges, parent_vertices=members)
 
 
-def pendant_edges(H: UniformHypergraph) -> list[tuple[int, ...]]:
-    """Edges with exactly k-1 vertices of degree 1.
-
-    An isolated edge has k such vertices and is therefore not pendant.
-    """
-    deg = H.degrees()
-    return [
-        e for e in H.edges if sum(1 for v in e if deg[v] == 1) == H.k - 1
-    ]
-
-
 def vertex_union(H: UniformHypergraph, edge_indices: Iterable[int]) -> VertexSet:
     """Union of the vertex sets of the given edges of H."""
     verts: set[int] = set()
@@ -342,21 +331,6 @@ def is_power_tree(H: UniformHypergraph) -> bool:
     (``hypertree_walk``) without a ``power_obstruction``."""
     hypertree_walk(H)
     return power_obstruction(H) is None
-
-
-def disjoint_union(*graphs: UniformHypergraph) -> UniformHypergraph:
-    """Disjoint union with vertex labels shifted into consecutive blocks."""
-    if not graphs:
-        raise ValidationError("disjoint_union needs at least one hypergraph")
-    k = graphs[0].k
-    if any(g.k != k for g in graphs):
-        raise ValidationError("disjoint_union requires equal uniformity")
-    edges: list[tuple[int, ...]] = []
-    offset = 0
-    for g in graphs:
-        edges.extend(tuple(v + offset for v in e) for e in g.edges)
-        offset += g.n
-    return build(k, offset, edges)
 
 
 def random_hypertree(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _ratpoly as _rp
-from .core import UniformHypergraph, build, comb
+from .core import UniformHypergraph, build
 from .errors import (
     ConvergenceError,
     MismatchReport,
@@ -134,26 +134,22 @@ def fixture(name: str) -> CharPolyFactorization:
         ) from None
 
 
+# The edges of each fixture's hypertree.  H1 is comb(3); H3 is H1 with
+# one more edge at vertex 1.  H2 is encoded on its 9 actual vertices (the
+# conventional display uses labels up to 11 with two gaps), so counts and
+# degrees line up with the factorization's total degree 9 * 2^8.
+_EDGES = {
+    "H1": ((1, 2, 3), (1, 4, 7), (2, 5, 8), (3, 6, 9)),
+    "H2": ((1, 2, 3), (1, 4, 6), (3, 5, 7), (1, 8, 9)),
+    "H3": ((1, 2, 3), (1, 4, 7), (2, 5, 8), (3, 6, 9), (1, 10, 11)),
+}
+
+
 @lru_cache(maxsize=None)
 def hypergraph(name: str) -> UniformHypergraph:
-    """The hypertree a fixture describes.
-
-    H2 is encoded on its 9 actual vertices (the conventional display
-    uses labels up to 11 with two gaps), so counts and degrees line up
-    with the factorization's total degree 9 * 2^8.
-    """
-    key = name.upper()
-    if key == "H1":
-        return comb(3)
-    if key == "H2":
-        return build(3, 9, [[1, 2, 3], [1, 4, 6], [3, 5, 7], [1, 8, 9]])
-    if key == "H3":
-        return build(
-            3,
-            11,
-            [[1, 2, 3], [1, 4, 7], [2, 5, 8], [3, 6, 9], [1, 10, 11]],
-        )
-    raise UnknownFixture(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
+    """The hypertree a fixture describes, on the fixture's k and n."""
+    f = fixture(name)
+    return build(f.k, f.n, _EDGES[f.name])
 
 
 def degree_check(f: CharPolyFactorization) -> bool:
@@ -207,7 +203,7 @@ def spectrum_crosscheck(name: str, tol: float = DEFAULT_SET_TOL) -> CrosscheckRe
             expected=[alpha_str(p) for p in bases],
             got=[alpha_str(p) for p in catalog.polys],
         )
-    spectrum = set_spectrum(H, tol, catalog=catalog)
+    spectrum = set_spectrum(H, tol)
     first_subtree = {
         p: subtree_hypergraph(H, catalog.subsets[catalog.witnesses(i)[0]])
         for i, p in enumerate(catalog.polys)

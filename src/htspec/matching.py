@@ -76,10 +76,6 @@ def alpha_poly(coeffs: Iterable[int]) -> AlphaPolynomial:
     return AlphaPolynomial(tuple(_rp.trim(list(coeffs))))
 
 
-ONE = alpha_poly([1])
-ZERO = alpha_poly([])
-
-
 def to_alpha_poly(c: MatchingCounts) -> AlphaPolynomial:
     """Signed polynomial: coefficient of alpha^(m-i) is (-1)^i counts[i]."""
     m = c.matching_number
@@ -87,10 +83,6 @@ def to_alpha_poly(c: MatchingCounts) -> AlphaPolynomial:
     for i, v in enumerate(c.counts):
         cs[m - i] = -v if i % 2 else v
     return alpha_poly(cs)
-
-
-def poly_sub(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
-    return AlphaPolynomial(tuple(_rp.sub(p.coeffs, q.coeffs)))
 
 
 def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -105,26 +97,6 @@ def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
-
-
-def poly_mul(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
-    """Exact convolution; realizes multiplicativity over disjoint unions."""
-    if not p.coeffs or not q.coeffs:
-        return ZERO
-    return alpha_poly(convolve(p.coeffs, q.coeffs))
-
-
-def poly_pow(p: AlphaPolynomial, e: int) -> AlphaPolynomial:
-    if e < 0:
-        raise ValidationError("negative polynomial power")
-    acc = ONE
-    base = p
-    while e:
-        if e & 1:
-            acc = poly_mul(acc, base)
-        base = poly_mul(base, base)
-        e >>= 1
-    return acc
 
 
 def expand_to_x(p: AlphaPolynomial, k: int) -> dict[int, int]:
@@ -245,22 +217,6 @@ def matching_polynomial(H: UniformHypergraph) -> AlphaPolynomial:
     return to_alpha_poly(matching_counts_tree(H))
 
 
-# -- comb closed form ----------------------------------------------------------
-
-
-def comb_formula(k: int) -> AlphaPolynomial:
-    """Closed-form matching polynomial of the k-comb: (alpha-1)^k - alpha^(k-1).
-
-    The comb has binomial(k, i) tooth-only i-matchings plus the lone
-    spine 1-matching; the spine meets every tooth, which subtracts the
-    alpha^(k-1) term.
-    """
-    if k < 2:
-        raise ValidationError("comb_formula needs k >= 2")
-    spine_term = alpha_poly([0] * (k - 1) + [1])
-    return poly_sub(poly_pow(alpha_poly([-1, 1]), k), spine_term)
-
-
 # -- exact real-root count (Sturm) ---------------------------------------------
 
 
@@ -283,14 +239,3 @@ def _sturm_counts(p: AlphaPolynomial) -> tuple[int, int]:
     chain = _rp.sturm_chain(p.coeffs)
     return _rp.real_root_count(chain), p.degree - len(chain[-1]) + 1
 
-
-def count_distinct_real_roots(p: AlphaPolynomial) -> int:
-    """Number of distinct real roots, by a Sturm chain (exact)."""
-    return _sturm_counts(p)[0]
-
-
-def count_real_comb_roots(k: int) -> int:
-    """Distinct real roots of the k-comb matching polynomial in alpha."""
-    if k < 3:
-        raise ValidationError("count_real_comb_roots needs k >= 3")
-    return count_distinct_real_roots(comb_formula(k))

@@ -42,7 +42,6 @@ from .matching import (
 from .subtrees import (
     DEFAULT_MAX_SUBSETS,
     EdgeSubset,
-    SubtreeCatalog,
     _distinct_polys,
     subtree_hypergraph,
 )
@@ -55,28 +54,13 @@ DEFAULT_SEED = 24301
 # -- squarefree decomposition (exact) ------------------------------------------
 
 
-def squarefree_decomposition(
-    p: AlphaPolynomial,
-) -> list[tuple[AlphaPolynomial, int]]:
-    """Yun decomposition: pairwise coprime squarefree factors (q_i, i)
-    with prod q_i^i equal to p up to a constant.
-
-    A squarefree p comes back as [(p, 1)]; otherwise each q_i is
-    primitive with positive lead.  Exact integer arithmetic, so multiple
-    roots are resolved before any floating-point refinement happens.
-    """
-    if p.degree < 1:
-        return []
-    f = list(p.coeffs)
-    g = _rp.gcd(f, _rp.deriv(f))
-    if len(g) <= 1:
-        return [(p, 1)]
-    return _yun(f, g)
-
-
 def _yun(f: list[int], g: list[int]) -> list[tuple[AlphaPolynomial, int]]:
-    """Yun's loop of ``squarefree_decomposition`` for f, given
-    g = gcd(f, f'), primitive with positive lead and non-constant."""
+    """Yun's squarefree decomposition of a non-constant f, given
+    g = gcd(f, f') primitive with positive lead: pairwise coprime
+    squarefree factors (q_i, i), each primitive with positive lead, with
+    prod q_i^i equal to f up to a constant (a squarefree f, g = 1, comes
+    back as its primitive part).  Exact integer arithmetic, so multiple
+    roots are resolved before any floating-point refinement happens."""
     out: list[tuple[AlphaPolynomial, int]] = []
     b = _rp.div_exact(f, g)
     d = _rp.sub(_rp.div_exact(_rp.deriv(f), g), _rp.deriv(b))
@@ -109,8 +93,6 @@ def _aberth(
     """
     deg = len(coeffs) - 1
     maxc = max(abs(c) for c in coeffs)
-    if deg == 1:
-        return [complex(-coeffs[0] / coeffs[1])]
     if deg == 2:
         a, b, c = coeffs[2], coeffs[1], coeffs[0]
         disc = cmath.sqrt(b * b - 4 * a * c)
@@ -733,35 +715,26 @@ def set_spectrum(
     H: UniformHypergraph,
     tol: float = DEFAULT_SET_TOL,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
-    catalog: SubtreeCatalog | None = None,
 ) -> SpectrumSet:
     """The eigenvalue set of H: {0} plus k-th-root lifts of every alpha
     root of every distinct connected subtree polynomial, deduplicated at
     ``tol``.
 
-    The polynomials are ``catalog.polys`` when a catalog is passed, and
-    otherwise come from the distinct-state DP ``subtrees._distinct_polys``
-    over the walk that checks H, in the same (degree, coefficients)
-    order; ``max_subsets`` then caps the DP's states, not subsets.
+    The polynomials come from the distinct-state DP
+    ``subtrees._distinct_polys`` over the walk that checks H, in the
+    (degree, coefficients) order of ``distinct_matching_polynomials``;
+    ``max_subsets`` caps the DP's states, not subsets.
     Lifts are taken in that order, and one within ``tol`` of a value
     already kept is dropped, so the first accepted wins and keeps its
     source.  The dedup runs on a grid index that the returned set
     keeps for its reads: O(V) expected over the lifts, after the root
     solves, which ``alpha_roots`` memoizes across calls.  The
     result is closed under multiplication by k-th roots of unity
-    because lifts always arrive in complete families.  ValidationError
-    when ``catalog.host`` is not H.
+    because lifts always arrive in complete families.
     """
     _require_tol(tol)
     walk = _require_spectrum_input(H)
-    if catalog is not None and catalog.host != H:
-        raise ValidationError(
-            f"the catalog is of another host ({catalog.host.n} vertices, "
-            f"{catalog.host.m} edges) than H ({H.n} vertices, {H.m} edges)"
-        )
-    polys = (
-        _distinct_polys(H, walk, max_subsets) if catalog is None else catalog.polys
-    )
+    polys = _distinct_polys(H, walk, max_subsets)
     kept, grid = _distinct_lifts(_lifts(polys, H.k), tol, [(0j, None)])
     kept.sort(key=lambda item: (item[0].real, item[0].imag))
     spec = SpectrumSet(

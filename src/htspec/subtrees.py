@@ -210,30 +210,6 @@ def _distinct_polys(
     return tuple(p for _, p in _ranked_polys(found, H.m + 1))
 
 
-def connected_edge_subsets(
-    H: UniformHypergraph, max_subsets: int = DEFAULT_MAX_SUBSETS
-) -> list[EdgeSubset]:
-    """All nonempty edge subsets forming a connected sub-hypergraph, in
-    (size, indices) order.
-
-    Each subset is built once from its top vertex by the leaf-to-root
-    ``_fold``; no vertex subset scan is involved.
-    CatalogTooLarge when there are more than ``max_subsets``, raised
-    from an up-front count before any subset is built.
-    """
-    return [s for s, _ in _subtree_counts(H, max_subsets)]
-
-
-def induced_closure_holds(H: UniformHypergraph, F: EdgeSubset) -> bool:
-    """True iff the subgraph induced on F's vertex union has edge set F."""
-    members = vertex_union(H, F.indices)
-    inside = set(members)
-    induced_edges = {
-        i for i, e in enumerate(H.edges) if inside.issuperset(e)
-    }
-    return induced_edges == set(F.indices)
-
-
 def subtree_hypergraph(H: UniformHypergraph, F: EdgeSubset) -> UniformHypergraph:
     """The connected induced subtree carried by F, relabeled to 1..|U|."""
     return induced(H, vertex_union(H, F.indices))

@@ -1,5 +1,7 @@
-"""Shared test utilities: random instance generators and brute-force
-cross-checks that stay independent of the library code paths they test."""
+"""Shared test utilities: random instance generators, brute-force
+cross-checks that stay independent of the library code paths they test,
+and the polynomial algebra, closed forms and structural references that
+only tests call."""
 
 from __future__ import annotations
 
@@ -9,18 +11,111 @@ from fractions import Fraction
 from itertools import combinations
 
 from htspec import (
+    AlphaPolynomial,
+    EdgeSubset,
     UniformHypergraph,
+    alpha_poly,
     build,
     comb,
-    disjoint_union,
     loose_path,
     power,
     random_hypertree,
     star,
 )
-from htspec import spectra
+from htspec import _ratpoly, spectra
+from htspec.core import vertex_union
+from htspec.errors import ValidationError
 from htspec.fixtures import hypergraph
-from htspec.matching import _sturm_counts
+from htspec.matching import _sturm_counts, convolve
+
+
+# -- polynomial algebra, closed forms and structural references -------------
+
+ONE = alpha_poly([1])
+ZERO = alpha_poly([])
+
+
+def poly_sub(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
+    return AlphaPolynomial(tuple(_ratpoly.sub(p.coeffs, q.coeffs)))
+
+
+def poly_mul(p: AlphaPolynomial, q: AlphaPolynomial) -> AlphaPolynomial:
+    """Exact convolution; realizes multiplicativity over disjoint unions."""
+    if not p.coeffs or not q.coeffs:
+        return ZERO
+    return alpha_poly(convolve(p.coeffs, q.coeffs))
+
+
+def poly_pow(p: AlphaPolynomial, e: int) -> AlphaPolynomial:
+    if e < 0:
+        raise ValidationError("negative polynomial power")
+    acc = ONE
+    base = p
+    while e:
+        if e & 1:
+            acc = poly_mul(acc, base)
+        base = poly_mul(base, base)
+        e >>= 1
+    return acc
+
+
+def comb_formula(k: int) -> AlphaPolynomial:
+    """Closed-form matching polynomial of the k-comb: (alpha-1)^k - alpha^(k-1).
+
+    The comb has binomial(k, i) tooth-only i-matchings plus the lone
+    spine 1-matching; the spine meets every tooth, which subtracts the
+    alpha^(k-1) term.
+    """
+    if k < 2:
+        raise ValidationError("comb_formula needs k >= 2")
+    spine_term = alpha_poly([0] * (k - 1) + [1])
+    return poly_sub(poly_pow(alpha_poly([-1, 1]), k), spine_term)
+
+
+def count_real_comb_roots(k: int) -> int:
+    """Distinct real roots of the k-comb matching polynomial in alpha."""
+    if k < 3:
+        raise ValidationError("count_real_comb_roots needs k >= 3")
+    return _sturm_counts(comb_formula(k))[0]
+
+
+def pendant_edges(H: UniformHypergraph) -> list[tuple[int, ...]]:
+    """Edges with exactly k-1 vertices of degree 1.
+
+    An isolated edge has k such vertices and is therefore not pendant.
+    """
+    deg = H.degrees()
+    return [
+        e for e in H.edges if sum(1 for v in e if deg[v] == 1) == H.k - 1
+    ]
+
+
+def disjoint_union(*graphs: UniformHypergraph) -> UniformHypergraph:
+    """Disjoint union with vertex labels shifted into consecutive blocks."""
+    if not graphs:
+        raise ValidationError("disjoint_union needs at least one hypergraph")
+    k = graphs[0].k
+    if any(g.k != k for g in graphs):
+        raise ValidationError("disjoint_union requires equal uniformity")
+    edges: list[tuple[int, ...]] = []
+    offset = 0
+    for g in graphs:
+        edges.extend(tuple(v + offset for v in e) for e in g.edges)
+        offset += g.n
+    return build(k, offset, edges)
+
+
+def induced_closure_holds(H: UniformHypergraph, F: EdgeSubset) -> bool:
+    """True iff the subgraph induced on F's vertex union has edge set F."""
+    members = vertex_union(H, F.indices)
+    inside = set(members)
+    induced_edges = {
+        i for i, e in enumerate(H.edges) if inside.issuperset(e)
+    }
+    return induced_edges == set(F.indices)
+
+
+# -- test utilities ------------------------------------------------------------
 
 
 class Budget:

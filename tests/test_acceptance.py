@@ -7,13 +7,11 @@ per criterion including its runtime.
 import random
 
 import helpers
-from helpers import Budget
+from helpers import Budget, comb_formula, count_real_comb_roots, poly_mul
 from htspec import (
     alpha_roots,
     build,
     comb,
-    comb_formula,
-    count_real_comb_roots,
     eigen_residual,
     expand_to_x,
     find_totally_nonzero_eigenvector,
@@ -23,7 +21,6 @@ from htspec import (
     loose_path,
     matching_counts_bruteforce,
     matching_counts_tree,
-    poly_mul,
     power,
     random_hypertree,
     set_spectrum,
@@ -159,7 +156,7 @@ def test_criterion_7_eigenpair_witnesses_on_h3():
     zero-extension has residual <= 1e-8 on H3."""
     H3 = hypergraph("H3")
     catalog = distinct_matching_polynomials(H3)
-    spectrum = set_spectrum(H3, tol=SET_TOL, catalog=catalog)
+    spectrum = set_spectrum(H3, tol=SET_TOL)
     with Budget("criterion 7: eigenpair witnesses", 120.0):
         checked = 0
         for lam, source in zip(spectrum.values, spectrum.sources):

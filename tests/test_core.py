@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import disjoint_union, pendant_edges
 from htspec import (
     build,
     comb,
-    disjoint_union,
     induced,
     is_connected,
     is_hyperforest,
@@ -18,7 +18,6 @@ from htspec import (
     is_power_tree,
     loose_path,
     matching_counts_tree,
-    pendant_edges,
     power,
     random_hypertree,
     star,

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from htspec import _ratpoly, alpha_poly, is_hypertree, is_power_tree, poly_mul
-from htspec.matching import poly_pow
+from helpers import poly_mul, poly_pow
+from htspec import _ratpoly, alpha_poly, comb, is_hypertree, is_power_tree
 from htspec.errors import MismatchReport, UnknownFixture, ValidationError
 from htspec.fixtures import (
     FIXTURE_NAMES,
@@ -28,6 +28,7 @@ def test_fixture_lookup():
         fixture("H4")
     with pytest.raises(UnknownFixture):
         hypergraph("nope")
+    assert hypergraph("H1") == hypergraph("h1") == comb(3)
 
 
 def test_fixture_shapes():
@@ -103,8 +104,8 @@ def test_crosscheck_names_a_value_without_witness(monkeypatch):
     real = fx.set_spectrum
     nudged = []
 
-    def nudge_one(H, tol, catalog):
-        spectrum = real(H, tol, catalog=catalog)
+    def nudge_one(H, tol):
+        spectrum = real(H, tol)
         values = list(spectrum.values)
         j = next(j for j, s in enumerate(spectrum.sources) if s is not None)
         values[j] += 1e-3

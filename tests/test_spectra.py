@@ -13,15 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import Budget
+from helpers import Budget, comb_formula, count_real_comb_roots, poly_mul, poly_pow
 from htspec import (
     SpectrumSet,
     alpha_poly,
     alpha_roots,
     build,
     comb,
-    comb_formula,
-    count_real_comb_roots,
     eigen_residual,
     find_totally_nonzero_eigenvector,
     is_cyclotomic_spectrum,
@@ -29,7 +27,6 @@ from htspec import (
     lift_to_x,
     loose_path,
     matching_polynomial,
-    poly_mul,
     power,
     random_hypertree,
     rotate_eigenpair,
@@ -37,7 +34,7 @@ from htspec import (
     spectral_radius,
     star,
 )
-from htspec import spectra
+from htspec import _ratpoly, spectra
 from htspec.core import hypertree_walk, power_obstruction
 from htspec.errors import (
     CatalogTooLarge,
@@ -47,11 +44,8 @@ from htspec.errors import (
     ValidationError,
 )
 from htspec.fixtures import hypergraph
-from htspec.matching import matching_counts_tree, poly_pow
-from htspec.spectra import (
-    squarefree_decomposition,
-    zero_extend,
-)
+from htspec.matching import matching_counts_tree
+from htspec.spectra import zero_extend
 from htspec.subtrees import (
     DEFAULT_MAX_SUBSETS,
     _distinct_polys,
@@ -143,6 +137,12 @@ def test_alpha_roots_of_long_loose_paths_match_the_closed_form(t, k):
     assert [z.real for z, _ in roots] == pytest.approx(expected, abs=1e-13, rel=0)
 
 
+def _yun(p):
+    """``spectra._yun`` of p, handed gcd(p, p') as it asks."""
+    f = list(p.coeffs)
+    return spectra._yun(f, _ratpoly.gcd(f, _ratpoly.deriv(f)))
+
+
 def _rational_value(coeffs, x):
     return sum(c * x**i for i, c in enumerate(coeffs))
 
@@ -158,7 +158,7 @@ def test_real_roots_are_nearest_floats_on_random_catalogs(monkeypatch):
     checked, factors = 0, []
     for H in hosts:
         for p in _distinct_polys(H, hypertree_walk(H), DEFAULT_MAX_SUBSETS):
-            for q, _ in squarefree_decomposition(p):
+            for q, _ in _yun(p):
                 if spectra._sturm_counts(q)[0] == q.degree:
                     factors.append(q)
     assert len(factors) > 400
@@ -277,7 +277,7 @@ def test_squarefree_reconstruction():
         for base, mult in factors:
             p = poly_mul(p, poly_pow(base, mult))
         rebuilt = alpha_poly([1])
-        for base, mult in squarefree_decomposition(p):
+        for base, mult in _yun(p):
             rebuilt = poly_mul(rebuilt, poly_pow(base, mult))
         assert rebuilt == p
     # non-monic rational roots times quadratics, under non-unit and
@@ -302,7 +302,7 @@ def test_squarefree_reconstruction():
         p = alpha_poly([1])
         for part in parts:
             p = poly_mul(p, part)
-        got = [(q.coeffs, mult) for q, mult in squarefree_decomposition(p)]
+        got = [(q.coeffs, mult) for q, mult in _yun(p)]
         assert got == expected
 
 
@@ -758,7 +758,7 @@ def test_every_spectrum_value_has_a_subtree_witness():
     for _ in range(5):
         H = random_hypertree(rng.randint(1, 5), rng.choice([3, 4]), rng)
         catalog = distinct_matching_polynomials(H)
-        s = set_spectrum(H, catalog=catalog)
+        s = set_spectrum(H)
         for lam, source in zip(s.values, s.sources):
             if source is None:
                 continue
@@ -768,15 +768,6 @@ def test_every_spectrum_value_has_a_subtree_witness():
             pair = find_totally_nonzero_eigenvector(sub, lam, tol=1e-8)
             extended = zero_extend(pair.x, sub.parent_vertices, H.n)
             assert eigen_residual(H, lam, extended) <= 1e-8
-
-
-def test_set_spectrum_refuses_another_hosts_catalog():
-    H = loose_path(1, 3)
-    with pytest.raises(ValidationError, match="another host"):
-        set_spectrum(H, catalog=distinct_matching_polynomials(comb(3)))
-    # an equal host built apart is the same host
-    s = set_spectrum(H, catalog=distinct_matching_polynomials(loose_path(1, 3)))
-    assert len(s.values) == 4
 
 
 def test_distinct_polys_and_cyclotomic_verdict_match_the_catalog_on_the_ladder():
@@ -999,7 +990,7 @@ def test_root_refinement_budget_is_enforced():
 def test_witness_extension_into_host():
     H3 = hypergraph("H3")
     catalog = distinct_matching_polynomials(H3)
-    s = set_spectrum(H3, catalog=catalog)
+    s = set_spectrum(H3)
     lam, source = next(
         (v, src)
         for v, src in zip(s.values, s.sources)

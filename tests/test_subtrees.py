@@ -5,18 +5,16 @@ import random
 import pytest
 
 import helpers
+from helpers import induced_closure_holds, pendant_edges
 from htspec import (
     alpha_poly,
     build,
     comb,
-    connected_edge_subsets,
     distinct_matching_polynomials,
     induced,
-    induced_closure_holds,
     is_hypertree,
     loose_path,
     matching_counts_tree,
-    pendant_edges,
     power,
     random_hypertree,
     star,
@@ -32,18 +30,19 @@ from htspec.subtrees import EdgeSubset
 
 def test_single_edge_catalog():
     H = build(3, 3, [[1, 2, 3]])
-    assert [s.indices for s in connected_edge_subsets(H)] == [(0,)]
-    assert distinct_matching_polynomials(H).polys == (alpha_poly([-1, 1]),)
+    catalog = distinct_matching_polynomials(H)
+    assert [s.indices for s in catalog.subsets] == [(0,)]
+    assert catalog.polys == (alpha_poly([-1, 1]),)
 
 
 def test_loose_path_two_edges():
-    subsets = connected_edge_subsets(loose_path(2, 3))
+    subsets = distinct_matching_polynomials(loose_path(2, 3)).subsets
     assert [s.indices for s in subsets] == [(0,), (1,), (0, 1)]
 
 
 def test_comb3_subsets():
     H = comb(3)  # edge 0 is the spine after canonical sort
-    subsets = {s.indices for s in connected_edge_subsets(H)}
+    subsets = {s.indices for s in distinct_matching_polynomials(H).subsets}
     assert len(subsets) == 11
     spine_containing = {s for s in subsets if 0 in s}
     assert len(spine_containing) == 8  # spine plus any tooth subset
@@ -58,14 +57,14 @@ def test_enumeration_matches_bruteforce_masks():
     rng = random.Random(41)
     for _ in range(20):
         H = random_hypertree(rng.randint(1, 7), rng.choice([2, 3, 4]), rng)
-        masks = {_mask(s) for s in connected_edge_subsets(H)}
+        masks = {_mask(s) for s in distinct_matching_polynomials(H).subsets}
         assert masks == helpers.brute_connected_edge_masks(H)
 
 
 def test_catalog_size_of_combs():
     # k single teeth plus spine together with any tooth subset
     for k in range(2, 6):
-        subsets = connected_edge_subsets(comb(k))
+        subsets = distinct_matching_polynomials(comb(k)).subsets
         assert len(subsets) == k + 2**k
         assert {_mask(s) for s in subsets} == helpers.brute_connected_edge_masks(
             comb(k)
@@ -76,21 +75,20 @@ def test_catalog_size_of_combs():
         tuple(range(i, i + size)) for size in range(1, 71) for i in range(71 - size)
     ]
     assert len(runs) == 2485
-    assert [s.indices for s in connected_edge_subsets(loose_path(70, 3))] == runs
+    subsets = distinct_matching_polynomials(loose_path(70, 3)).subsets
+    assert [s.indices for s in subsets] == runs
 
 
 def test_subset_cap():
     with pytest.raises(CatalogTooLarge):
-        connected_edge_subsets(comb(4), max_subsets=10)
+        distinct_matching_polynomials(comb(4), max_subsets=10)
     # the cap is exact: S subsets pass a cap of S and raise below it
     rng = random.Random(61)
     hosts = [comb(4), loose_path(10, 3), star(8, 3), random_hypertree(9, 3, rng)]
     for H in hosts:
-        size = len(connected_edge_subsets(H))
+        size = len(distinct_matching_polynomials(H).subsets)
         assert len(distinct_matching_polynomials(H, max_subsets=size).subsets) == size
         with pytest.raises(CatalogTooLarge, match=f"the host has {size}$"):
-            connected_edge_subsets(H, max_subsets=size - 1)
-        with pytest.raises(CatalogTooLarge):
             distinct_matching_polynomials(H, max_subsets=size - 1)
 
 
@@ -109,14 +107,14 @@ def test_edge_subset_has_no_instance_dict():
 
 def test_requires_hypertree():
     with pytest.raises(NotAHypertree):
-        connected_edge_subsets(build(3, 4, [[1, 2, 3], [1, 2, 4]]))
+        distinct_matching_polynomials(build(3, 4, [[1, 2, 3], [1, 2, 4]]))
 
 
 def test_every_subset_is_an_induced_hypertree():
     rng = random.Random(43)
     for _ in range(10):
         H = random_hypertree(rng.randint(1, 6), rng.choice([3, 4]), rng)
-        for F in connected_edge_subsets(H):
+        for F in distinct_matching_polynomials(H).subsets:
             assert induced_closure_holds(H, F)
             assert is_hypertree(subtree_hypergraph(H, F))
 
@@ -136,7 +134,7 @@ def test_enumeration_completeness_against_vertex_scan():
     for H in hosts:
         from_edges = {
             vertex_union(H, F.indices).members
-            for F in connected_edge_subsets(H)
+            for F in distinct_matching_polynomials(H).subsets
         }
         singletons = {(v,) for v in range(1, H.n + 1)}
         assert from_edges | singletons == helpers.brute_connected_vertex_subsets(H)
@@ -146,7 +144,7 @@ def test_pendant_deletion_reachability():
     rng = random.Random(53)
     for _ in range(8):
         H = random_hypertree(rng.randint(2, 6), rng.choice([3, 4]), rng)
-        for F in connected_edge_subsets(H):
+        for F in distinct_matching_polynomials(H).subsets:
             target = set(F.indices)
             current = set(range(H.m))
             while current != target:

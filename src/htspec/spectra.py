@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -49,6 +50,11 @@ from .subtrees import (
 DEFAULT_SET_TOL = 1e-8
 ROOT_TOL = 1e-12  # the relative residual target of alpha_roots' Aberth roots
 DEFAULT_SEED = 24301
+_FLOAT_MAX = sys.float_info.max
+# q + _ROUND - _ROUND rounds a float q with |q| < 2**51 to the nearest
+# integer; every result from -2**51 up is an integer, some below it are not
+_ROUND = 1.5 * 2.0**52
+_INT_KEYS_FROM = -(2.0**51)
 
 
 # -- squarefree decomposition (exact) ------------------------------------------
@@ -541,40 +547,95 @@ class SpectrumSource:
 
 
 class _TolGrid:
-    """Values filed in square cells of side 2*tol, each in its own cell
-    and in the cells to its left and right.  A value within tol of z
-    lies in z's cell or one of its eight neighbours, so it is filed in
-    z's cell or the one above or below it: ``near`` gives the answer of
-    ``any(abs(z - v) <= tol for v in values)`` from those three cells,
-    the answer a read of all nine neighbours would give.  O(1) expected
-    when the values lie more than tol apart.  Filing each value three
-    times costs memory: the 25,924 values of
-    ``set_spectrum(random_hypertree(20, 3, Random(1)))`` take 15.4 MiB of
-    grid where one cell per value took 5.9 MiB (tracemalloc).
+    """Values filed in square cells of side 4*tol, so that ``near(z)``
+    reads z's own cell only and answers
+    ``any(abs(z - v) <= tol for v in values)``.
+
+    A float x has key x / side + _ROUND - _ROUND: the nearest integer to
+    q = x / side where |q| < 2**51, infinite where q is, and nan only
+    where q is.  A key of -2**51 or more is an integer, as the sum it
+    comes from is a float of 2**52 or more; a key below that need not be
+    (for q in [-2**52, -2**51) the sum lies where floats are 0.5 apart).
+    Each of the three rounded operations is monotone, so the key is a
+    monotone function of the finite x, a side of inf included.  A cell
+    is a pair of keys.  On each axis, with lo and hi the rounded
+    x - reach and x + reach clamped to the finite floats, a value whose
+    part there is x is filed under every key of a float in [lo, hi]:
+    lo's when it equals hi's, both when they are adjacent integers of
+    -2**51 or more, as every key between them would be an integer too,
+    and else the key of each float from lo to hi.  That last case needs
+    a rounding error of about a cell in the quotients, or a quotient
+    beyond 2**51 in size, which happens only where floats near x lie
+    about tol apart or more, so it visits a handful of floats, and none
+    for a nan or infinite x.  (A value with such a part, filed under an
+    infinite key or none, lies within tol of nothing.)
+
+    ``reach``, the float after tol, is the filing margin, and it makes
+    ``near`` exact for every z.  If abs(z - v) <= tol, then on each axis
+    the rounded difference of the parts is at most tol, as abs (a hypot)
+    is never below either part's magnitude; so the exact difference
+    exceeds tol by at most half the gap above it, and is below reach.
+    Rounding is monotone, so z's part, a finite float, lies in the
+    [lo, hi] of v's part, its key is one of v's, and v is filed in z's
+    cell.  ``near`` tests every value there as the scan does, so it says
+    True exactly when the scan would.  (abs raises OverflowError past
+    the largest float, which within one cell takes tol above about a
+    tenth of it.)
+
+    A value's [lo, hi] is about 2*tol wide, half a cell, so it meets one
+    or two keys per axis and about 2.25 cells on average; a real value
+    meets one on the imaginary axis.  Reads cost O(1) expected when the
+    values lie more than tol apart.  The 25,924 values of
+    ``set_spectrum(random_hypertree(20, 3, Random(1)))`` make 53,526
+    filings and take 11.4 MiB of grid (tracemalloc), where three
+    filings per value in cells of side 2*tol, read three cells at a
+    time, took 15.4 MiB, and one cell per value 5.9 MiB.
     """
 
-    __slots__ = ("tol", "side", "cells")
+    __slots__ = ("tol", "side", "reach", "cells")
 
     def __init__(self, tol: float, values):
         self.tol = tol
-        self.side = 2 * tol
+        self.side = 4 * tol
+        self.reach = math.nextafter(tol, math.inf)
         self.cells: dict[tuple[float, float], list[complex]] = {}
         for v in values:
             self.add(v)
 
+    def _keys(self, x: float):
+        """The keys, on one axis, of the cells that a value whose part
+        on that axis is x is filed in."""
+        side, reach = self.side, self.reach
+        lo, hi = x - reach, x + reach
+        if lo < -_FLOAT_MAX:
+            lo = -_FLOAT_MAX
+        if hi > _FLOAT_MAX:
+            hi = _FLOAT_MAX
+        a = lo / side + _ROUND - _ROUND
+        b = hi / side + _ROUND - _ROUND
+        if a == b:
+            return (a,)
+        if b == a + 1 and a >= _INT_KEYS_FROM:
+            return (a, b)
+        keys = set()
+        while lo <= hi:  # false at once for a nan or infinite x
+            keys.add(lo / side + _ROUND - _ROUND)
+            lo = math.nextafter(lo, math.inf)
+        return keys
+
     def add(self, v: complex) -> None:
-        re, im = v.real // self.side, v.imag // self.side
         cells = self.cells
-        for key in ((re - 1, im), (re, im), (re + 1, im)):
-            cells.setdefault(key, []).append(v)
+        ims = self._keys(v.imag)
+        for re in self._keys(v.real):
+            for im in ims:
+                cells.setdefault((re, im), []).append(v)
 
     def near(self, z: complex) -> bool:
-        tol, cells = self.tol, self.cells
-        re, im = z.real // self.side, z.imag // self.side
-        for key in ((re, im - 1), (re, im), (re, im + 1)):
-            for v in cells.get(key, ()):
-                if abs(z - v) <= tol:
-                    return True
+        tol, side = self.tol, self.side
+        key = (z.real / side + _ROUND - _ROUND, z.imag / side + _ROUND - _ROUND)
+        for v in self.cells.get(key, ()):
+            if abs(z - v) <= tol:
+                return True
         return False
 
 
@@ -583,12 +644,13 @@ class SpectrumSet:
     """Deduplicated eigenvalue set with the tolerances that shaped it.
 
     ``sources`` gives each value's provenance, or is empty for none.
-    ``tol`` must be finite and > 0.  Reads go through a ``_TolGrid``
-    over the values: a set from ``set_spectrum`` reads the grid it was
-    deduplicated with, and any other set builds one on its first read,
-    in O(V).  On values more than ``tol`` apart, as ``set_spectrum``
-    keeps them, ``contains`` then costs O(1) and ``rotation_symmetric``
-    O(kV).
+    ``tol`` must be finite and > 0, and ``k`` an int >= 2 (not a bool).
+    Reads go through a ``_TolGrid`` over the values: a set from
+    ``set_spectrum`` reads the grid it was deduplicated with, and any
+    other set builds one on its first read, in O(V).  Each probe reads
+    one grid cell, so on values more than ``tol`` apart, as
+    ``set_spectrum`` keeps them, ``contains`` costs O(1) and
+    ``rotation_symmetric``, one probe per rotated value, O(kV).
     """
 
     values: tuple[complex, ...]
@@ -598,6 +660,8 @@ class SpectrumSet:
 
     def __post_init__(self):
         _require_tol(self.tol)
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 2:
+            raise ValidationError(f"k must be an int >= 2, got {self.k!r}")
         if self.sources and len(self.sources) != len(self.values):
             raise ValidationError(
                 f"{len(self.sources)} sources for {len(self.values)} values"
@@ -686,9 +750,25 @@ def _require_spectrum_input(H: UniformHypergraph):
 
 def _lifts(polys, k):
     """Each k-th root lift of each alpha root of each of polys, in that
-    order, paired with its source."""
+    order, paired with its source; an alpha root equal to one already
+    lifted is skipped.
+
+    The skip changes no decision of ``_distinct_lifts``: ``lift_to_x``
+    reads an alpha only through its modulus and phase, so a repeated
+    alpha's lifts equal lifts tested before them.  Each of those was
+    kept, and the repeat lies within 0 of it, or was dropped within tol
+    of a kept value, which the repeat lies within tol of as well.  The
+    one way equal complex numbers differ, a zero part's sign, does not
+    show: ``alpha_roots`` gives each real root imaginary part +0.0 and
+    each other root a nonzero one, so equal roots have equal phases
+    (the phase of -1 - 0j is -pi, that of -1 + 0j is pi).
+    """
+    lifted = set()
     for poly in polys:
         for a, _mult in alpha_roots(poly):
+            if a in lifted:
+                continue
+            lifted.add(a)
             source = SpectrumSource(poly, a)
             for lam in lift_to_x(a, k):
                 yield lam, source
@@ -726,11 +806,14 @@ def set_spectrum(
     ``max_subsets`` caps the DP's states, not subsets.
     Lifts are taken in that order, and one within ``tol`` of a value
     already kept is dropped, so the first accepted wins and keeps its
-    source.  The dedup runs on a grid index that the returned set
-    keeps for its reads: O(V) expected over the lifts, after the root
-    solves, which ``alpha_roots`` memoizes across calls.  The
-    result is closed under multiplication by k-th roots of unity
-    because lifts always arrive in complete families.
+    source.  An alpha root equal to one already lifted, as subtrees
+    that share a factor give, is not lifted again: its lifts would all
+    be dropped (see ``_lifts``).  The dedup tests and files each lift
+    with one read of a grid index that the returned set keeps for its
+    reads: O(V) expected over the lifts, after the root solves, which
+    ``alpha_roots`` memoizes across calls.  The result is closed under
+    multiplication by k-th roots of unity because lifts always arrive
+    in complete families.
     """
     _require_tol(tol)
     walk = _require_spectrum_input(H)

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -375,6 +376,13 @@ def test_tol_must_be_finite_and_positive(monkeypatch, tol):
         set_spectrum(build(3, 3, [[1, 2, 3]]), tol=tol)
 
 
+@pytest.mark.parametrize("k", [0, 1, -3, 2.5, True, False, "3", None])
+def test_spectrum_set_k_must_be_an_int_of_at_least_two(k):
+    with pytest.raises(ValidationError, match=f"k must be an int >= 2, got {k!r}"):
+        SpectrumSet((1 + 0j,), 1e-8, k)
+    assert SpectrumSet((1 + 0j,), 1e-8, 2).rotation_symmetric() is False
+
+
 EDGE = 2.0**-52
 
 
@@ -493,11 +501,102 @@ def test_distinct_lifts_agrees_with_the_scan(tol, scale, centres, steps, angles,
     assert got == helpers.scan_distinct_lifts(lifts, tol, list(start))
 
 
+def _comparable(values):
+    """values, less each one that abs cannot compare with one kept
+    before it: abs raises OverflowError when |z - v| is past the largest
+    float, and neither the scan nor a grid read answers there."""
+    kept = []
+    for v in values:
+        try:
+            for w in kept:
+                abs(v - w)
+        except OverflowError:
+            continue
+        kept.append(v)
+    return kept
+
+
+@pytest.mark.parametrize(
+    "tol", [5e-324, 1e-320, 1e-8, 1.0, 1e307, 1e308, sys.float_info.max]
+)
+def test_grid_edge_cases_agree_with_the_scan(tol):
+    side = 4 * tol  # inf for the two largest tols
+    corners = [0j]
+    if math.isfinite(side):
+        # keys round x / side, so cells meet at odd multiples of side / 2
+        corners += [complex(i + 0.5, j + 0.5) * side for i in (-2, 0, 1) for j in (-1, 0)]
+    # keys below -2**51 need not be integers: x / side in [-2**52, -2**51)
+    # gives half-integer keys, and near -1.5 * 2**52 finer ones still
+    far = [
+        complex(-(2**53 + 2) * tol, 0),
+        complex(0, -(2**53 + 2) * tol),
+        complex(-1.5 * 2**54 * tol, 2**53 * tol),
+        complex(2**60 * tol, -(2**60) * tol),
+    ]
+    far = [c for c in far if cmath.isfinite(c)]
+    for c in far:
+        assert SpectrumSet((c,), tol, 3).contains(c), c
+    centres = [*corners, *far, 1 + 0j, 1e10 - 3e10j, -2.5 + 0.5j]
+    rng = random.Random(7)
+    values = []
+    for c in centres:
+        # a value on the corner, and values within tol of it and across it
+        for shift in (0.0, 0.5, 1.0, -0.5, -1.0):
+            values.append(c + complex(shift * tol, -shift * tol))
+            for u in (1, 1j, -1, -1j, cmath.exp(0.7j), cmath.exp(rng.uniform(0, 7) * 1j)):
+                for r in (1 - EDGE, 1.0, 1 + EDGE):
+                    values.append(c + complex(shift * tol, 0) + tol * r * u)
+    values += [complex(math.inf, 0), complex(0, math.nan), complex(-math.inf, math.inf)]
+    values = _comparable(values)
+    assert len(values) > 150
+    rng.shuffle(values)
+    s = SpectrumSet(values=tuple(values[::2]), tol=tol, k=3)
+    for z in values:
+        for r in (0.0, 1 - EDGE, 1 + EDGE):
+            for probe in (z, z + tol * r, z - tol * r * 1j):
+                try:
+                    want = helpers.linear_contains(s.values, tol, probe)
+                except OverflowError:
+                    continue
+                assert s.contains(probe) == want, probe
+    lifts = [(v, i) for i, v in enumerate(values)]
+    got, _ = spectra._distinct_lifts(iter(lifts), tol, [(0j, None)])
+    assert got == helpers.scan_distinct_lifts(lifts, tol, [(0j, None)])
+
+
 def test_spectrum_assembly_within_budget():
     H = random_hypertree(18, 3, random.Random(1))
     with helpers.Budget("set_spectrum, random m = 18, 10,534 values", 3.0):
         s = set_spectrum(H)
     assert len(s.values) == 10534
+
+
+def _uncut_scan_hosts():
+    for name in ("H1", "H2", "H3"):
+        yield name, hypergraph(name)
+    for k in (3, 4, 5):
+        yield f"comb-{k}", comb(k)
+    for m in range(8, 16):
+        for k in (3, 4):
+            yield f"random-{m}-{k}", random_hypertree(m, k, random.Random(m))
+
+
+@pytest.mark.parametrize("name, H", list(_uncut_scan_hosts()))
+def test_set_spectrum_matches_an_uncut_scan_of_every_lift(name, H):
+    """Every lift of every alpha root, repeated roots included, through
+    the scan of every kept value: set_spectrum skips repeated roots and
+    reads a grid, and keeps the same values with the same sources."""
+    lifts = [
+        (lam, spectra.SpectrumSource(p, a))
+        for p in distinct_matching_polynomials(H).polys
+        for a, _ in alpha_roots(p)
+        for lam in lift_to_x(a, H.k)
+    ]
+    kept = helpers.scan_distinct_lifts(lifts, spectra.DEFAULT_SET_TOL, [(0j, None)])
+    kept.sort(key=lambda item: (item[0].real, item[0].imag))
+    s = set_spectrum(H)
+    assert s.values == tuple(v for v, _ in kept)
+    assert s.sources == tuple(src for _, src in kept)
 
 
 def test_rotation_symmetry_of_spectra():

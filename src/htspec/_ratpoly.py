@@ -184,12 +184,11 @@ def coprime_base(polys) -> list[list[int]]:
     is coprime to every element kept before, and kept ones never change.
     This is the gcd refinement of Bernstein, "Factoring into coprimes
     in essentially linear time" (2005), run naively: O(B^2) gcds for B
-    base elements.
+    base elements.  Inputs equal after ``positive_primitive`` enter the
+    loop once, as a repeat would only split off itself again.
     """
-    todo = []
-    for p in polys:
-        if len(p) > 1:
-            todo.append(positive_primitive(p))
+    distinct = dict.fromkeys(tuple(positive_primitive(p)) for p in polys if len(p) > 1)
+    todo = [list(p) for p in distinct]
     base: list[list[int]] = []
     while todo:
         a = todo.pop()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -51,6 +52,10 @@ class UniformHypergraph:
     ``parent_vertices`` is populated by :func:`induced`: entry ``i``
     holds the label, in the graph this one was induced from, of vertex
     ``i + 1`` here.  It is metadata only and excluded from equality.
+
+    The first structural check or tree fold on a host walks it
+    (``_walk``), and every later one reads that walk: it stays in the
+    instance __dict__, O(n + mk), for as long as the host lives.
     """
 
     k: int
@@ -64,6 +69,17 @@ class UniformHypergraph:
     def m(self) -> int:
         """Number of edges."""
         return len(self.edges)
+
+    @cached_property
+    def _walked(self) -> tuple[tuple[int, ...], tuple, int, int | None]:
+        # in the instance __dict__, not a field, so ==, hash and repr
+        # ignore it, and __getstate__ leaves it out of pickles
+        return _walk(self)
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state.pop("_walked", None)
+        return state
 
     def degrees(self) -> list[int]:
         """Vertex degrees, 1-indexed (entry 0 is a dummy)."""
@@ -115,9 +131,10 @@ def build(
     return UniformHypergraph(k, n, tuple(canon), parent_vertices)
 
 
-def _walk(H: UniformHypergraph) -> tuple[list[int], list, int, int | None]:
+def _walk(H: UniformHypergraph) -> tuple[tuple[int, ...], tuple, int, int | None]:
     """(order, children, components, cycle) from the one traversal of
-    the incidence structure, which every structural check and fold reads.
+    the incidence structure, which every structural check and fold reads
+    through the host's memo, ``UniformHypergraph._walked``.
 
     Each component is rooted at its smallest vertex, and order lists
     each vertex once, after its parent, depth first without recursion.
@@ -127,7 +144,8 @@ def _walk(H: UniformHypergraph) -> tuple[list[int], list, int, int | None]:
     vertex already seen closes a cycle; cycle is the first such edge's
     index, or None.  It is left out of children, but its unseen vertices
     are still visited, or one reached only through it would count as a
-    component of its own.
+    component of its own.  order and children are tuples, so no reader
+    can change the memo that the others share.
     """
     incident: list[list[int]] = [[] for _ in range(H.n + 1)]
     for i, e in enumerate(H.edges):
@@ -135,7 +153,7 @@ def _walk(H: UniformHypergraph) -> tuple[list[int], list, int, int | None]:
             incident[v].append(i)
     seen = [False] * (H.n + 1)
     taken = [False] * H.m
-    children: list = [[] for _ in range(H.n + 1)]
+    children: list = [()] * (H.n + 1)
     order: list[int] = []
     components, cycle = 0, None
     for root in range(1, H.n + 1):
@@ -147,43 +165,48 @@ def _walk(H: UniformHypergraph) -> tuple[list[int], list, int, int | None]:
         while stack:
             v = stack.pop()
             order.append(v)
+            below = []
             for i in incident[v]:
                 if taken[i]:
                     continue
                 taken[i] = True
-                kids = tuple(c for c in H.edges[i] if c != v)
+                e = H.edges[i]
+                j = e.index(v)
+                kids = e[:j] + e[j + 1 :]
                 fresh = [c for c in kids if not seen[c]]
                 for c in fresh:
                     seen[c] = True
                 stack.extend(fresh)
                 if len(fresh) == len(kids):
-                    children[v].append((i, kids))
+                    below.append((i, kids))
                 elif cycle is None:
                     cycle = i
-    return order, children, components, cycle
+            if below:
+                children[v] = tuple(below)
+    return tuple(order), tuple(children), components, cycle
 
 
 def is_connected(H: UniformHypergraph) -> bool:
     """True iff the walk finds one component (an isolated vertex is one)."""
-    return _walk(H)[2] == 1
+    return H._walked[2] == 1
 
 
 def is_hyperforest(H: UniformHypergraph) -> bool:
     """True iff the walk meets no cycle: every component is a hypertree."""
-    return _walk(H)[3] is None
+    return H._walked[3] is None
 
 
 def is_hypertree(H: UniformHypergraph) -> bool:
     """True iff the walk finds one component and no cycle."""
-    return _walk(H)[2:] == (1, None)
+    return H._walked[2:] == (1, None)
 
 
-def rooted_walk(H: UniformHypergraph) -> tuple[list[int], list]:
+def rooted_walk(H: UniformHypergraph) -> tuple[tuple[int, ...], tuple]:
     """(order, children) of a hyperforest from ``_walk``, the structural
     check of every tree algorithm: NotAHyperforest, naming the edge,
     when some edge closes a cycle.  It ends on any hypergraph.
     """
-    order, children, _, cycle = _walk(H)
+    order, children, _, cycle = H._walked
     if cycle is not None:
         raise NotAHyperforest(
             f"not a hyperforest: edge {list(H.edges[cycle])} closes a cycle"
@@ -191,11 +214,11 @@ def rooted_walk(H: UniformHypergraph) -> tuple[list[int], list]:
     return order, children
 
 
-def hypertree_walk(H: UniformHypergraph) -> tuple[list[int], list]:
+def hypertree_walk(H: UniformHypergraph) -> tuple[tuple[int, ...], tuple]:
     """``rooted_walk`` of a hypertree, for the calls that need one:
     NotAHypertree, naming a cycle-closing edge or the component count,
     otherwise."""
-    order, children, components, cycle = _walk(H)
+    order, children, components, cycle = H._walked
     if cycle is not None:
         raise NotAHypertree(
             f"not a hypertree: edge {list(H.edges[cycle])} closes a cycle"

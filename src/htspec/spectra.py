@@ -578,9 +578,10 @@ class _TolGrid:
     Rounding is monotone, so z's part, a finite float, lies in the
     [lo, hi] of v's part, its key is one of v's, and v is filed in z's
     cell.  ``near`` tests every value there as the scan does, so it says
-    True exactly when the scan would.  (abs raises OverflowError past
-    the largest float, which within one cell takes tol above about a
-    tenth of it.)
+    True exactly when the scan would.  Where abs raises OverflowError,
+    |z - v| is past the largest float and so past tol: that v is not
+    near z.  (Within one cell this takes tol above about a tenth of the
+    largest float.)
 
     A value's [lo, hi] is about 2*tol wide, half a cell, so it meets one
     or two keys per axis and about 2.25 cells on average; a real value
@@ -634,8 +635,11 @@ class _TolGrid:
         tol, side = self.tol, self.side
         key = (z.real / side + _ROUND - _ROUND, z.imag / side + _ROUND - _ROUND)
         for v in self.cells.get(key, ()):
-            if abs(z - v) <= tol:
-                return True
+            try:
+                if abs(z - v) <= tol:
+                    return True
+            except OverflowError:  # |z - v| is past every float, so past tol
+                pass
         return False
 
 
@@ -738,14 +742,13 @@ def _require_nonzero_lam(lam: complex, tol: float) -> None:
         )
 
 
-def _require_spectrum_input(H: UniformHypergraph):
-    """k >= 3, then ``hypertree_walk``, whose (order, children) a
-    caller folds over without walking twice."""
+def _require_spectrum_input(H: UniformHypergraph) -> None:
+    """k >= 3, then H a hypertree (``hypertree_walk``)."""
     if H.k == 2:
         raise UniformityTwoUnsupported(
             "set-spectrum assembly from subtrees holds only for k >= 3"
         )
-    return hypertree_walk(H)
+    hypertree_walk(H)
 
 
 def _lifts(polys, k):
@@ -801,9 +804,9 @@ def set_spectrum(
     ``tol``.
 
     The polynomials come from the distinct-state DP
-    ``subtrees._distinct_polys`` over the walk that checks H, in the
-    (degree, coefficients) order of ``distinct_matching_polynomials``;
-    ``max_subsets`` caps the DP's states, not subsets.
+    ``subtrees._distinct_polys``, in the (degree, coefficients) order of
+    ``distinct_matching_polynomials``; ``max_subsets`` caps the DP's
+    states, not subsets.
     Lifts are taken in that order, and one within ``tol`` of a value
     already kept is dropped, so the first accepted wins and keeps its
     source.  An alpha root equal to one already lifted, as subtrees
@@ -816,8 +819,8 @@ def set_spectrum(
     in complete families.
     """
     _require_tol(tol)
-    walk = _require_spectrum_input(H)
-    polys = _distinct_polys(H, walk, max_subsets)
+    _require_spectrum_input(H)
+    polys = _distinct_polys(H, max_subsets)
     kept, grid = _distinct_lifts(_lifts(polys, H.k), tol, [(0j, None)])
     kept.sort(key=lambda item: (item[0].real, item[0].imag))
     spec = SpectrumSet(
@@ -984,10 +987,11 @@ def spectral_radius(H: UniformHypergraph) -> float:
     least the term 1/(alpha - rho^k); the Newton step 1/(phi'/phi) is
     at most alpha - rho^k, so no iterate passes rho^k.
     """
-    order, children = _require_spectrum_input(H)
+    _require_spectrum_input(H)
     if H.m == 0:
         raise ValidationError("spectral radius needs at least one edge")
     k = H.k
+    order, children = hypertree_walk(H)
     guess = _radius_guess(order, children, k)
     if not 0 < guess < math.inf:
         guess = 1.0
@@ -1019,17 +1023,16 @@ def is_cyclotomic_spectrum(
     counts are (1, 4, 3, 1) and its polynomial a^3 - 4a^2 + 3a - 1 has
     1 real root of 3 (discriminant -31).  Both numbers are computed, by
     ``matching_polynomial`` and ``_sturm_counts``, in O(mk).  Otherwise
-    every distinct polynomial of ``subtrees._distinct_polys`` over the
-    walk that checks H is tested, with ``max_subsets`` capping its
-    states.
+    every distinct polynomial of ``subtrees._distinct_polys`` is tested,
+    with ``max_subsets`` capping its states.
     """
-    walk = _require_spectrum_input(H)
+    _require_spectrum_input(H)
     edge = power_obstruction(H)
     if edge is not None:
         real, distinct = _sturm_counts(_obstruction_poly(H, edge))
         if real != distinct:
             return False
-    polys = _distinct_polys(H, walk, max_subsets)
+    polys = _distinct_polys(H, max_subsets)
     return all(real == distinct for real, distinct in map(_sturm_counts, polys))
 
 
@@ -1182,9 +1185,9 @@ def find_totally_nonzero_eigenvector(
     """
     _require_tol(tol)
     _require_finite_lam(lam)
-    order, children = _require_spectrum_input(H)
+    _require_spectrum_input(H)
     _require_nonzero_lam(lam, tol)
-    raw = _leaf_to_root_eigenvector(order, children, H.k, lam)
+    raw = _leaf_to_root_eigenvector(*hypertree_walk(H), H.k, lam)
     if raw is None:
         raise NoConvergence(
             f"the leaf-to-root elimination meets a pole at lambda = {lam}"
@@ -1213,8 +1216,9 @@ def rotate_eigenpair(
     """
     _require_tol(tol)
     _require_finite_lam(lam)
-    order, children = _require_spectrum_input(H)
+    _require_spectrum_input(H)
     _require_nonzero_lam(pair.lam, tol)
+    order, children = hypertree_walk(H)
     k = H.k
     b = round(k * cmath.phase(lam / pair.lam) / (2 * math.pi)) % k
     s = [0] * len(children)

@@ -72,10 +72,11 @@ class SubtreeCatalog:
         }
 
 
-def _fold(H: UniformHypergraph, walk, max_states: int, masks: bool):
+def _fold(H: UniformHypergraph, max_states: int, masks: bool):
     """Yield, for each vertex v of H's ``hypertree_walk``, leaves first,
     the set of packed (A, B, mask) states of the edge subsets topped at
-    v, the empty subset's (1, 1, 0) included.
+    v, the empty subset's (1, 1, 0) included.  NotAHypertree, from the
+    walk, unless H is one.
 
     Each component is rooted at its smallest vertex, and every connected
     subset has exactly one top vertex, the one nearest the root.  Vertex
@@ -112,7 +113,7 @@ def _fold(H: UniformHypergraph, walk, max_states: int, masks: bool):
     host whose states fit.  Each vertex's set is dropped once its parent
     has read it.
     """
-    order, children = walk
+    order, children = hypertree_walk(H)
     w = H.m + 1
     states: list = [None] * (H.n + 1)
     built = 0
@@ -176,8 +177,7 @@ def _subtree_counts(
     fold itself never reaches its cap.  NotAHypertree, from the walk,
     unless H is one.
     """
-    walk = hypertree_walk(H)
-    order, children = walk
+    order, children = hypertree_walk(H)
     tops = [1] * (H.n + 1)  # T(v), the empty subset included
     for v in reversed(order):
         for _, kids in children[v]:
@@ -188,7 +188,7 @@ def _subtree_counts(
             f"more than {max_subsets} connected edge subsets: "
             f"the host has {total}"
         )
-    fold = _fold(H, walk, max_subsets, True)
+    fold = _fold(H, max_subsets, True)
     found = [(mask, a) for top in fold for a, _, mask in top if mask]
     # the fold's states are gone before the EdgeSubsets come, which lowers the peak
     for j, (mask, a) in enumerate(found):
@@ -198,14 +198,13 @@ def _subtree_counts(
 
 
 def _distinct_polys(
-    H: UniformHypergraph, walk, max_states: int
+    H: UniformHypergraph, max_states: int
 ) -> tuple[AlphaPolynomial, ...]:
     """``distinct_matching_polynomials(H).polys``, without listing subsets:
-    the maskless ``_fold`` over ``walk``, capped at ``max_states``
-    distinct nonempty (A, B) states.  No state records the subset that
-    realized it.
+    the maskless ``_fold``, capped at ``max_states`` distinct nonempty
+    (A, B) states.  No state records the subset that realized it.
     """
-    found = {a for top in _fold(H, walk, max_states, False) for a, _, _ in top}
+    found = {a for top in _fold(H, max_states, False) for a, _, _ in top}
     found.discard(1)
     return tuple(p for _, p in _ranked_polys(found, H.m + 1))
 

@@ -22,7 +22,7 @@ from htspec import (
     random_hypertree,
     star,
 )
-from htspec import _ratpoly, spectra
+from htspec import _ratpoly, core, spectra
 from htspec.core import vertex_union
 from htspec.errors import ValidationError
 from htspec.fixtures import hypergraph
@@ -139,10 +139,19 @@ class Budget:
         return False
 
 
+def within(z, v, tol) -> bool:
+    """abs(z - v) <= tol; False where abs raises OverflowError, as
+    |z - v| is then past the largest float, so past tol."""
+    try:
+        return abs(z - v) <= tol
+    except OverflowError:
+        return False
+
+
 def linear_contains(values, tol, z) -> bool:
     """Membership by a scan of every value: the reference that
     SpectrumSet.contains must agree with on every probe."""
-    return any(abs(z - v) <= tol for v in values)
+    return any(within(z, v, tol) for v in values)
 
 
 def scan_distinct_lifts(lifts, tol, kept):
@@ -151,9 +160,23 @@ def scan_distinct_lifts(lifts, tol, kept):
     before it.  The reference that spectra._distinct_lifts must agree
     with, value for value and tag for tag."""
     for lam, tag in lifts:
-        if not any(abs(lam - v) <= tol for v, _ in kept):
+        if not any(within(lam, v, tol) for v, _ in kept):
             kept.append((lam, tag))
     return kept
+
+
+def count_walks(monkeypatch) -> list[UniformHypergraph]:
+    """Patch ``core._walk``, the walk under each host's memo, so that
+    each host it walks is appended to the returned list."""
+    walked = []
+    real = core._walk
+
+    def counted(H):
+        walked.append(H)
+        return real(H)
+
+    monkeypatch.setattr(core, "_walk", counted)
+    return walked
 
 
 def clear_root_memos() -> None:

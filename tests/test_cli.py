@@ -273,6 +273,25 @@ def test_check_paper_passes(capsys):
     assert h3["multiplicities"]["x^9 - 5x^6 + 5x^3 - 2"] == 243
 
 
+def test_check_paper_walks_each_host_once(capsys, monkeypatch):
+    from htspec import fixtures
+
+    fixtures.hypergraph.cache_clear()  # fresh fixture hosts, not yet walked
+    walked = helpers.count_walks(monkeypatch)
+    code, _, _ = run(capsys, "check-paper")
+    assert code == 0
+    # H1-H3, and one witness subtree per distinct polynomial: 4 + 5 + 7
+    assert len(walked) == len({id(H) for H in walked}) == 3 + 16
+
+
+def test_ispower_walks_its_host_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "path.json"
+    path.write_text(core.dumps(core.loose_path(30, 3)))
+    walked = helpers.count_walks(monkeypatch)
+    code, _, _ = run(capsys, "ispower", str(path))
+    assert code == 0 and len(walked) == 1
+
+
 def test_check_paper_columns_report_their_own_check(capsys, monkeypatch):
     from htspec import fixtures
     from htspec.errors import NoConvergence

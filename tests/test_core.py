@@ -1,5 +1,7 @@
 """Hypergraph representation, validation, generators and transforms."""
 
+import cmath
+import pickle
 import random
 
 import pytest
@@ -11,18 +13,32 @@ from helpers import disjoint_union, pendant_edges
 from htspec import (
     build,
     comb,
+    distinct_matching_polynomials,
+    find_totally_nonzero_eigenvector,
     induced,
     is_connected,
+    is_cyclotomic_spectrum,
     is_hyperforest,
     is_hypertree,
     is_power_tree,
     loose_path,
     matching_counts_tree,
+    matching_polynomial,
     power,
     random_hypertree,
+    rotate_eigenpair,
+    set_spectrum,
+    spectral_radius,
     star,
 )
-from htspec.core import VertexSet, dumps, loads, power_obstruction, rooted_walk
+from htspec.core import (
+    VertexSet,
+    dumps,
+    hypertree_walk,
+    loads,
+    power_obstruction,
+    rooted_walk,
+)
 from htspec.errors import (
     DuplicateEdge,
     NonUniformEdge,
@@ -314,3 +330,98 @@ def test_vertex_set_membership():
     vs = VertexSet.of([3, 1, 2, 3])
     assert vs.members == (1, 2, 3)
     assert 2 in vs and 5 not in vs and len(vs) == 3
+
+
+# -- the walk memo: one walk per host object -----------------------------------
+
+
+def _walk_readers(lam, pair, turned):
+    """(name, call on a host) for every call that reads the host's walk;
+    the eigenpair calls look for lam and rotate pair to turned."""
+    return [
+        ("spectral_radius", spectral_radius),
+        ("eigenvector", lambda H: find_totally_nonzero_eigenvector(H, lam)),
+        ("rotate_eigenpair", lambda H: rotate_eigenpair(H, pair, turned)),
+        ("set_spectrum", set_spectrum),
+        ("is_cyclotomic_spectrum", is_cyclotomic_spectrum),
+        ("distinct_matching_polynomials", distinct_matching_polynomials),
+        ("matching_polynomial", matching_polynomial),
+        ("is_power_tree", is_power_tree),
+        ("rooted_walk", rooted_walk),
+        ("hypertree_walk", hypertree_walk),
+        ("is_connected", is_connected),
+        ("is_hyperforest", is_hyperforest),
+        ("is_hypertree", is_hypertree),
+    ]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [comb(3).edges, power(random_hypertree(7, 2, random.Random(5)), 4).edges],
+    ids=["comb-3", "power-7-k4"],
+)
+def test_one_host_answers_every_walk_reader_in_either_order(monkeypatch, edges):
+    k = len(edges[0])
+    n = len(edges) * (k - 1) + 1
+
+    def fresh():
+        return build(k, n, edges)
+
+    lam = spectral_radius(fresh())
+    pair = find_totally_nonzero_eigenvector(fresh(), lam)
+    turned = lam * cmath.exp(2j * cmath.pi / k)
+    readers = _walk_readers(lam, pair, turned)
+    want = {name: call(fresh()) for name, call in readers}
+    walked = helpers.count_walks(monkeypatch)
+    for calls in (readers, readers[::-1]):
+        host = fresh()
+        for name, call in calls:
+            assert call(host) == want[name], name
+        # a non-power host also walks the obstruction's 4-edge subtree
+        assert sum(h is host for h in walked) == 1
+
+
+def test_a_cyclic_or_split_host_is_refused_on_every_call(monkeypatch):
+    one_edge = build(3, 3, [[1, 2, 3]])
+    pair = find_totally_nonzero_eigenvector(one_edge, 1 + 0j)
+    readers = _walk_readers(1 + 0j, pair, 1 + 0j)[:10]  # the ones that refuse
+    forest_readers = ("matching_polynomial", "rooted_walk")
+    walked = helpers.count_walks(monkeypatch)
+    cyclic = build(CYCLE.k, CYCLE.n, CYCLE.edges)
+    for name, call in readers:
+        error = NotAHyperforest if name in forest_readers else NotAHypertree
+        for _ in range(2):
+            with pytest.raises(error, match=r"edge \[3, 4, 5\] closes a cycle"):
+                call(cyclic)
+    split = disjoint_union(loose_path(2, 3), star(2, 3))
+    for name, call in readers:
+        if name in forest_readers:
+            assert call(split) == call(build(3, split.n, split.edges)), name
+            continue
+        for _ in range(2):
+            with pytest.raises(NotAHypertree, match="2 components"):
+                call(split)
+    assert sum(h is cyclic for h in walked) == sum(h is split for h in walked) == 1
+
+
+def test_the_walk_memo_is_not_part_of_the_value(monkeypatch):
+    makers = [h3, lambda: induced(h3(), range(1, 10)), lambda: build(3, 6, CYCLE.edges)]
+    for make in makers:
+        cold, warm = make(), make()
+        is_hyperforest(warm)
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        back = pickle.loads(pickle.dumps(warm))
+        assert back == warm and back.parent_vertices == warm.parent_vertices
+        walked = helpers.count_walks(monkeypatch)
+        assert is_hyperforest(back) == is_hyperforest(warm)
+        assert len(walked) == 1 and walked[0] is back
+
+
+def test_the_shared_walk_is_read_only():
+    H = h3()
+    order, children = rooted_walk(H)
+    assert type(order) is tuple and type(children) is tuple
+    assert all(type(row) is tuple for row in children)
+    again = hypertree_walk(H)
+    assert again[0] is order and again[1] is children

@@ -158,7 +158,7 @@ def test_real_roots_are_nearest_floats_on_random_catalogs(monkeypatch):
     hosts += [power(random_hypertree(rng.randint(8, 14), 2, rng), 3) for _ in range(3)]
     checked, factors = 0, []
     for H in hosts:
-        for p in _distinct_polys(H, hypertree_walk(H), DEFAULT_MAX_SUBSETS):
+        for p in _distinct_polys(H, DEFAULT_MAX_SUBSETS):
             for q, _ in _yun(p):
                 if spectra._sturm_counts(q)[0] == q.degree:
                     factors.append(q)
@@ -225,7 +225,7 @@ def _small_ladder_hosts():
     host take about three minutes on a 2-core machine."""
     for name, H in helpers.ladder_hosts():
         if H.m <= 60:
-            polys = _distinct_polys(H, hypertree_walk(H), DEFAULT_MAX_SUBSETS)
+            polys = _distinct_polys(H, DEFAULT_MAX_SUBSETS)
             if len(polys) <= 500:
                 yield name, H
 
@@ -501,19 +501,15 @@ def test_distinct_lifts_agrees_with_the_scan(tol, scale, centres, steps, angles,
     assert got == helpers.scan_distinct_lifts(lifts, tol, list(start))
 
 
-def _comparable(values):
-    """values, less each one that abs cannot compare with one kept
-    before it: abs raises OverflowError when |z - v| is past the largest
-    float, and neither the scan nor a grid read answers there."""
-    kept = []
-    for v in values:
-        try:
-            for w in kept:
-                abs(v - w)
-        except OverflowError:
-            continue
-        kept.append(v)
-    return kept
+def test_a_value_past_every_float_from_the_probe_is_not_near():
+    # |z - v| overflows abs here, and at tol 1e308 every value shares
+    # one cell: the distance is past the largest float, so past tol
+    far = complex(1.5e308, 1.5e308)
+    assert not SpectrumSet((far,), 1e308, 3).contains(0j)
+    # far - 5e307 lies past every float from 0j and within tol of far
+    lifts = [(far, 1), (-far, 2), (far - 5e307, 3)]
+    got, _ = spectra._distinct_lifts(iter(lifts), 1e308, [(0j, None)])
+    assert got == [(0j, None), (far, 1), (-far, 2)]
 
 
 @pytest.mark.parametrize(
@@ -547,17 +543,13 @@ def test_grid_edge_cases_agree_with_the_scan(tol):
                 for r in (1 - EDGE, 1.0, 1 + EDGE):
                     values.append(c + complex(shift * tol, 0) + tol * r * u)
     values += [complex(math.inf, 0), complex(0, math.nan), complex(-math.inf, math.inf)]
-    values = _comparable(values)
     assert len(values) > 150
     rng.shuffle(values)
     s = SpectrumSet(values=tuple(values[::2]), tol=tol, k=3)
     for z in values:
         for r in (0.0, 1 - EDGE, 1 + EDGE):
             for probe in (z, z + tol * r, z - tol * r * 1j):
-                try:
-                    want = helpers.linear_contains(s.values, tol, probe)
-                except OverflowError:
-                    continue
+                want = helpers.linear_contains(s.values, tol, probe)
                 assert s.contains(probe) == want, probe
     lifts = [(v, i) for i, v in enumerate(values)]
     got, _ = spectra._distinct_lifts(iter(lifts), tol, [(0j, None)])
@@ -742,6 +734,13 @@ def test_integer_radius_test_agrees_with_fraction_labels():
     assert seen == {False, True}
 
 
+def test_radius_then_eigenvector_walk_the_host_once(monkeypatch):
+    H = random_hypertree(20, 3, random.Random(1))
+    walked = helpers.count_walks(monkeypatch)
+    find_totally_nonzero_eigenvector(H, spectral_radius(H))
+    assert len(walked) == 1 and walked[0] is H
+
+
 def test_greedy_matching_number_is_the_top_count_index():
     for name, H in _radius_oracle_hosts():
         nu = spectra._matching_number(*hypertree_walk(H))
@@ -877,8 +876,7 @@ def test_distinct_polys_and_cyclotomic_verdict_match_the_catalog_on_the_ladder()
         except CatalogTooLarge:
             refused.append(name)
             continue
-        walk = hypertree_walk(H)
-        assert _distinct_polys(H, walk, DEFAULT_MAX_SUBSETS) == catalog.polys, name
+        assert _distinct_polys(H, DEFAULT_MAX_SUBSETS) == catalog.polys, name
         verdict = helpers.catalog_cyclotomic_verdict(catalog)
         assert is_cyclotomic_spectrum(H) == verdict == is_power_tree(H), name
     assert refused == ["star-40"]

@@ -22,12 +22,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import core, fixtures, matching, spectra, subtrees
-from .errors import (
-    ConvergenceError,
-    MismatchReport,
-    NoHostWitness,
-    ValidationError,
-)
+from .errors import ConvergenceError, ValidationError
 
 _GEN_USAGE = (
     "generator spec: comb K | path T K | star T K | random M K | "
@@ -231,61 +226,38 @@ def _cmd_eigvec(args) -> int:
 
 
 def _cmd_check_paper(args) -> int:
-    results = []
-    ok_all = True
-    for name in fixtures.FIXTURE_NAMES:
-        f = fixtures.fixture(name)
-        degree_ok = fixtures.degree_check(f)
-        try:
-            report = fixtures.spectrum_crosscheck(name, tol=args.tol)
-            bases_ok = spectrum_ok = True
-            detail = (
-                f"{len(report.bases)} bases, "
-                f"{report.spectrum_size} spectrum values, "
-                f"max witness residual {report.max_witness_residual:.2e}"
-            )
-        except MismatchReport as exc:
-            # the bases are checked first; a spectrum left unchecked fails
-            bases_ok = isinstance(exc, NoHostWitness)
-            spectrum_ok = False
-            detail = str(exc)
-        probe = fixtures.divisibility_probe(name)
-        divides_ok = probe.all_divide()
-        ok = degree_ok and bases_ok and spectrum_ok and divides_ok
-        ok_all = ok_all and ok
-        results.append(
-            {
-                "fixture": name,
-                "degree_check": degree_ok,
-                "factor_bases": bases_ok,
-                "spectrum_set": spectrum_ok,
-                "divisibility": divides_ok,
-                "multiplicities": {
-                    row.poly_x: row.observed_multiplicity for row in probe.rows
-                },
-                "detail": detail,
-            }
-        )
+    reports = [
+        fixtures.spectrum_crosscheck(name, tol=args.tol)
+        for name in fixtures.FIXTURE_NAMES
+    ]
+    ok = all(r.ok for r in reports)
     if args.format == "json":
-        print(json.dumps({"ok": ok_all, "fixtures": results}))
+        fixture_dicts = [
+            {
+                "fixture": r.name,
+                "degree_check": r.degree_ok,
+                "factor_bases": r.bases_ok,
+                "spectrum_set": r.spectrum_ok,
+                "divisibility": r.divides_ok,
+                "multiplicities": r.multiplicities,
+                "detail": r.detail,
+            }
+            for r in reports
+        ]
+        print(json.dumps({"ok": ok, "fixtures": fixture_dicts}))
     else:
         print("fixture  degree  bases  spectrum  divisibility")
-        for r in results:
+        for r in reports:
             flags = [
-                "pass" if r[key] else "FAIL"
-                for key in (
-                    "degree_check",
-                    "factor_bases",
-                    "spectrum_set",
-                    "divisibility",
-                )
+                "pass" if flag else "FAIL"
+                for flag in (r.degree_ok, r.bases_ok, r.spectrum_ok, r.divides_ok)
             ]
             print(
-                f"{r['fixture']:<8} {flags[0]:<7} {flags[1]:<6} "
+                f"{r.name:<8} {flags[0]:<7} {flags[1]:<6} "
                 f"{flags[2]:<9} {flags[3]}"
             )
-            print(f"         {r['detail']}")
-    return 0 if ok_all else 2
+            print(f"         {r.detail}")
+    return 0 if ok else 2
 
 
 def _count(text: str) -> int:

@@ -76,22 +76,3 @@ class NoConvergence(ConvergenceError):
 class UnknownFixture(ValidationError):
     """No built-in characteristic-polynomial factorization by that name."""
 
-
-class MismatchReport(ValidationError):
-    """A cross-validation failed; carries both sides of the comparison.
-
-    Attributes:
-        name: fixture identifier being checked.
-        expected, got: the two sides of the failed set comparison.
-    """
-
-    def __init__(self, name, message, expected=None, got=None):
-        super().__init__(f"{name}: {message}")
-        self.name = name
-        self.expected = expected
-        self.got = got
-
-
-class NoHostWitness(MismatchReport):
-    """A nonzero spectrum value has no eigenvector witness on the host
-    within tol; the factor bases were checked before and matched."""

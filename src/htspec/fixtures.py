@@ -1,13 +1,13 @@
 """Built-in reference data: three 3-uniform hypertrees whose full
 characteristic polynomials are known in factored form, plus the
-cross-validation probes run by ``htspec check-paper``.
+cross-validation run by ``htspec check-paper``.
 
 H1 is the 3-comb on 9 vertices, H2 a 9-vertex power tree, and H3 the
 11-vertex hypertree obtained by overlaying the two.  Each factorization
 is stored as an x-power prefactor plus (alpha-form base, multiplicity)
 pairs, and nothing is ever expanded: the H3 product has x-degree 11264.
-The factored data is exactly what the divisibility and spectrum probes
-validate the library against.
+The factored data is exactly what ``spectrum_crosscheck`` validates the
+library against.
 """
 
 from __future__ import annotations
@@ -17,20 +17,14 @@ from functools import lru_cache
 
 from . import _ratpoly as _rp
 from .core import UniformHypergraph, build
-from .errors import (
-    ConvergenceError,
-    MismatchReport,
-    NoHostWitness,
-    UnknownFixture,
-    ValidationError,
-)
+from .errors import ConvergenceError, UnknownFixture, ValidationError
 from .matching import AlphaPolynomial, alpha_poly, alpha_str, x_str
 from .spectra import (
     DEFAULT_SET_TOL,
+    _assemble,
     _require_tol,
     eigen_residual,
     find_totally_nonzero_eigenvector,
-    set_spectrum,
     zero_extend,
 )
 from .subtrees import distinct_matching_polynomials, subtree_hypergraph
@@ -158,118 +152,110 @@ def degree_check(f: CharPolyFactorization) -> bool:
 
 
 @dataclass(frozen=True)
-class CrosscheckReport:
-    """Outcome of matching a fixture against freshly computed data."""
+class FixtureReport:
+    """What ``spectrum_crosscheck`` found for one fixture: a flag per
+    check, the multiplicity of each subtree polynomial (x form, in
+    catalog order) in the factored characteristic polynomial, and a
+    one-line detail, the failures or else a summary."""
 
     name: str
-    bases: tuple[AlphaPolynomial, ...]
-    catalog_polys: tuple[AlphaPolynomial, ...]
-    spectrum_size: int
-    max_witness_residual: float
+    degree_ok: bool
+    bases_ok: bool
+    spectrum_ok: bool
+    multiplicities: dict[str, int]
+    detail: str
+
+    @property
+    def divides_ok(self) -> bool:
+        return all(mult >= 1 for mult in self.multiplicities.values())
+
+    @property
+    def ok(self) -> bool:
+        return self.degree_ok and self.bases_ok and self.spectrum_ok and self.divides_ok
 
 
-def spectrum_crosscheck(name: str, tol: float = DEFAULT_SET_TOL) -> CrosscheckReport:
-    """Validate a fixture two ways, raising MismatchReport on failure.
+def spectrum_crosscheck(name: str, tol: float = DEFAULT_SET_TOL) -> FixtureReport:
+    """Check a fixture four ways against one subtree catalog of its
+    hypertree, ``distinct_matching_polynomials``.
 
-    (a) The distinct matching polynomials of the hypertree's connected
-        induced subtrees must equal the fixture's nontrivial factor
-        bases exactly (integer coefficients).
-    (b) Every nonzero value lambda of the set spectrum must have a host
-        witness: the first subtree, in (size, indices) order, whose
-        polynomial is lambda's source polynomial gets an eigenvector at
-        lambda by the leaf-to-root elimination of
-        ``find_totally_nonzero_eigenvector``, and its zero extension to
-        the host must have residual <= ``tol`` there.  The extension is
-        an eigenvector because k >= 3: an edge outside the subtree meets
-        it in at most one vertex, so every product over such an edge
-        keeps a zero factor.  A pole or a miss raises ``NoHostWitness``
-        naming lambda.
+    (a) degree: ``degree_check``.
+    (b) bases: the catalog's distinct polynomials must equal the
+        fixture's nontrivial factor bases exactly (integer coefficients).
+    (c) spectrum: the set spectrum is assembled from the catalog's
+        polynomials, with the values and sources of ``set_spectrum``.
+        Every nonzero value lambda must have a host witness: the first
+        subtree, in (size, indices) order, whose polynomial is lambda's
+        source polynomial gets an eigenvector at lambda by the
+        leaf-to-root elimination of ``find_totally_nonzero_eigenvector``,
+        and its zero extension to the host must have residual <= ``tol``
+        there.  The extension is an eigenvector because k >= 3: an edge
+        outside the subtree meets it in at most one vertex, so every
+        product over such an edge keeps a zero factor.  The first pole
+        or miss fails the check, naming lambda.
+    (d) divisibility: every catalog polynomial must divide the factored
+        characteristic polynomial, by the exact multiplicities of
+        ``CharPolyFactorization.multiplicities``.  The x^power prefactor
+        is coprime to every divisor (subtree polynomials have nonzero
+        constant term), so the alpha-form product decides it.
 
-    Every base of H1-H3 is irreducible, so that subtree is a minimal one
-    for lambda, as the theorem's proof uses.  ValidationError, before
-    any catalog is built, unless tol is finite and > 0.
+    Every base of H1-H3 is irreducible, so each witness subtree is a
+    minimal one for its lambda, as the theorem's proof uses.  Each check
+    runs whatever the others find, and a failure is reported in the
+    flags and the detail, never raised.  ValidationError, before any
+    catalog is built, unless tol is finite and > 0.
     """
     _require_tol(tol)
     f = fixture(name)
-    H = hypergraph(name)
+    H = hypergraph(f.name)
     catalog = distinct_matching_polynomials(H)
+    problems = []
     bases = sorted(
         (base for base, _ in f.factors), key=lambda p: (p.degree, p.coeffs)
     )
-    if tuple(bases) != catalog.polys:
-        raise MismatchReport(
-            name,
-            "factor bases differ from subtree matching polynomials",
-            expected=[alpha_str(p) for p in bases],
-            got=[alpha_str(p) for p in catalog.polys],
+    bases_ok = tuple(bases) == catalog.polys
+    if not bases_ok:
+        problems.append(
+            f"factor bases {[alpha_str(p) for p in bases]} differ from subtree "
+            f"matching polynomials {[alpha_str(p) for p in catalog.polys]}"
         )
-    spectrum = set_spectrum(H, tol)
-    first_subtree = {
-        p: subtree_hypergraph(H, catalog.subsets[catalog.witnesses(i)[0]])
-        for i, p in enumerate(catalog.polys)
-    }
-    worst = 0.0
+    first = {}
+    for F, j in zip(catalog.subsets, catalog.poly_of_subset):
+        first.setdefault(j, F)
+    witness = {catalog.polys[j]: subtree_hypergraph(H, F) for j, F in first.items()}
+    spectrum = _assemble(catalog.polys, H.k, tol)
+    worst, failure = 0.0, None
     for lam, source in zip(spectrum.values, spectrum.sources):
         if source is None:
             continue
-        sub = first_subtree[source.poly]
+        sub = witness[source.poly]
         try:
             pair = find_totally_nonzero_eigenvector(sub, lam, tol)
         except ConvergenceError as exc:
-            raise NoHostWitness(
-                name, f"no witness for lambda = {lam}: {exc}"
-            ) from exc
-        x = zero_extend(pair.x, sub.parent_vertices, H.n)
-        residual = eigen_residual(H, lam, x)
+            failure = f"no witness for lambda = {lam}: {exc}"
+            break
+        residual = eigen_residual(H, lam, zero_extend(pair.x, sub.parent_vertices, H.n))
         if not residual <= tol:
-            raise NoHostWitness(
-                name,
+            failure = (
                 f"the witness for lambda = {lam} has host residual "
-                f"{residual:.3e} > tol {tol:g}",
+                f"{residual:.3e} > tol {tol:g}"
             )
+            break
         worst = max(worst, residual)
-    return CrosscheckReport(
-        name=name,
-        bases=tuple(bases),
-        catalog_polys=catalog.polys,
-        spectrum_size=len(spectrum.values),
-        max_witness_residual=worst,
-    )
-
-
-@dataclass(frozen=True)
-class DivisibilityRow:
-    poly_x: str
-    divides: bool
-    observed_multiplicity: int
-
-
-@dataclass(frozen=True)
-class DivisibilityReport:
-    name: str
-    rows: tuple[DivisibilityRow, ...]
-
-    def all_divide(self) -> bool:
-        return all(row.divides for row in self.rows)
-
-
-def divisibility_probe(name: str) -> DivisibilityReport:
-    """Multiplicity of every cataloged subtree matching polynomial in the
-    fixture's characteristic polynomial.
-
-    The x^power prefactor is coprime to every divisor (subtree
-    polynomials have nonzero constant term), so divisibility in x is
-    decided on the factored alpha-form product by
-    ``CharPolyFactorization.multiplicities``, over one coprime base of
-    the bases and all the divisors.  Failures are reported per row,
-    never raised.
-    """
-    f = fixture(name)
-    phis = distinct_matching_polynomials(hypergraph(name)).polys
-    rows = tuple(
-        DivisibilityRow(
-            poly_x=x_str(phi, f.k), divides=mult >= 1, observed_multiplicity=mult
+    if failure:
+        problems.append(failure)
+    mults = f.multiplicities(catalog.polys)
+    if problems:
+        detail = f"{f.name}: " + "; ".join(problems)
+    else:
+        detail = (
+            f"{len(bases)} bases, {len(spectrum.values)} spectrum values, "
+            f"max witness residual {worst:.2e}"
         )
-        for phi, mult in zip(phis, f.multiplicities(phis))
+    return FixtureReport(
+        name=f.name,
+        degree_ok=degree_check(f),
+        bases_ok=bases_ok,
+        spectrum_ok=failure is None,
+        multiplicities={x_str(p, f.k): m for p, m in zip(catalog.polys, mults)},
+        detail=detail,
     )
-    return DivisibilityReport(name=name, rows=rows)

@@ -38,14 +38,8 @@ from .matching import (
     alpha_poly,
     alpha_str,
     horner,
-    matching_polynomial,
 )
-from .subtrees import (
-    DEFAULT_MAX_SUBSETS,
-    EdgeSubset,
-    _distinct_polys,
-    subtree_hypergraph,
-)
+from .subtrees import DEFAULT_MAX_SUBSETS, _distinct_polys
 
 DEFAULT_SET_TOL = 1e-8
 ROOT_TOL = 1e-12  # the relative residual target of alpha_roots' Aberth roots
@@ -794,6 +788,23 @@ def _distinct_lifts(lifts, tol, kept):
     return kept, grid
 
 
+def _assemble(polys, k: int, tol: float) -> SpectrumSet:
+    """The set spectrum of ``set_spectrum`` from its distinct subtree
+    polynomials, in (degree, coefficients) order, the host's k and tol."""
+    kept, grid = _distinct_lifts(_lifts(polys, k), tol, [(0j, None)])
+    kept.sort(key=lambda item: (item[0].real, item[0].imag))
+    spec = SpectrumSet(
+        values=tuple(v for v, _ in kept),
+        tol=tol,
+        k=k,
+        sources=tuple(src for _, src in kept),
+    )
+    # the grid files exactly these values; the cached property reads
+    # the instance dict, so the set never builds a second one
+    vars(spec)["_grid"] = grid
+    return spec
+
+
 def set_spectrum(
     H: UniformHypergraph,
     tol: float = DEFAULT_SET_TOL,
@@ -820,19 +831,7 @@ def set_spectrum(
     """
     _require_tol(tol)
     _require_spectrum_input(H)
-    polys = _distinct_polys(H, max_subsets)
-    kept, grid = _distinct_lifts(_lifts(polys, H.k), tol, [(0j, None)])
-    kept.sort(key=lambda item: (item[0].real, item[0].imag))
-    spec = SpectrumSet(
-        values=tuple(v for v, _ in kept),
-        tol=tol,
-        k=H.k,
-        sources=tuple(src for _, src in kept),
-    )
-    # the grid files exactly these values; the cached property reads
-    # the instance dict, so the set never builds a second one
-    vars(spec)["_grid"] = grid
-    return spec
+    return _assemble(_distinct_polys(H, max_subsets), H.k, tol)
 
 
 def _matching_number(order, children) -> int:
@@ -1021,31 +1020,17 @@ def is_cyclotomic_spectrum(
     connected, so induced, 4-edge subtree.  Its outer edges are pairwise
     disjoint and each meets the middle one, so for every k >= 3 its
     counts are (1, 4, 3, 1) and its polynomial a^3 - 4a^2 + 3a - 1 has
-    1 real root of 3 (discriminant -31).  Both numbers are computed, by
-    ``matching_polynomial`` and ``_sturm_counts``, in O(mk).  Otherwise
-    every distinct polynomial of ``subtrees._distinct_polys`` is tested,
-    with ``max_subsets`` capping its states.
+    1 real root of 3 (discriminant -31), so the verdict is False as soon
+    as ``power_obstruction`` finds such an edge, in O(mk), with no
+    polynomial built.  Otherwise every distinct polynomial of
+    ``subtrees._distinct_polys`` is tested, with ``max_subsets`` capping
+    its states.
     """
     _require_spectrum_input(H)
-    edge = power_obstruction(H)
-    if edge is not None:
-        real, distinct = _sturm_counts(_obstruction_poly(H, edge))
-        if real != distinct:
-            return False
+    if power_obstruction(H) is not None:
+        return False
     polys = _distinct_polys(H, max_subsets)
     return all(real == distinct for real, distinct in map(_sturm_counts, polys))
-
-
-def _obstruction_poly(H: UniformHypergraph, edge: int) -> AlphaPolynomial:
-    """Matching polynomial of the subtree of ``edge`` and the first other
-    edge at each of its first three vertices of degree >= 2."""
-    picked = [edge]
-    for v in H.edges[edge]:
-        if len(picked) == 4:
-            break
-        picked += [j for j, e in enumerate(H.edges) if j != edge and v in e][:1]
-    sub = subtree_hypergraph(H, EdgeSubset(tuple(sorted(picked))))
-    return matching_polynomial(sub)
 
 
 # -- eigenpairs -----------------------------------------------------------------

@@ -53,12 +53,6 @@ class SubtreeCatalog:
     polys: tuple[AlphaPolynomial, ...]
     poly_of_subset: tuple[int, ...]
 
-    def witnesses(self, poly_index: int) -> tuple[int, ...]:
-        """Positions in ``subsets`` whose subtree has this polynomial."""
-        return tuple(
-            j for j, p in enumerate(self.poly_of_subset) if p == poly_index
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "subtrees": [

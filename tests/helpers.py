@@ -21,8 +21,9 @@ from htspec import (
     power,
     random_hypertree,
     star,
+    subtree_hypergraph,
 )
-from htspec import _ratpoly, core, spectra
+from htspec import _ratpoly, core, fixtures, spectra
 from htspec.core import vertex_union
 from htspec.errors import ValidationError
 from htspec.fixtures import hypergraph
@@ -208,6 +209,39 @@ def random_nonpower_hypertree(
         edges.append([anchor] + list(range(n + 1, n + k)))
         n += k - 1
     return build(k, n, edges)
+
+
+def obstruction_subtree(H: UniformHypergraph, edge: int) -> UniformHypergraph:
+    """The 4-edge subtree of a ``power_obstruction`` edge and the first
+    other edge at each of its first three vertices of degree >= 2: the
+    subtree whose polynomial makes is_cyclotomic_spectrum False."""
+    picked = [edge]
+    for v in H.edges[edge]:
+        if len(picked) == 4:
+            break
+        picked += [j for j, e in enumerate(H.edges) if j != edge and v in e][:1]
+    return subtree_hypergraph(H, EdgeSubset(tuple(sorted(picked))))
+
+
+def first_subtrees(catalog) -> dict[AlphaPolynomial, UniformHypergraph]:
+    """Each distinct polynomial of a subtree catalog, with the subtree of
+    the first subset, in (size, indices) order, that has it."""
+    first = {}
+    for F, j in zip(catalog.subsets, catalog.poly_of_subset):
+        first.setdefault(catalog.polys[j], F)
+    return {p: subtree_hypergraph(catalog.host, F) for p, F in first.items()}
+
+
+def tamper_h1(monkeypatch) -> None:
+    """Replace H1 by its factorization with the last base dropped."""
+    bad = fixtures.CharPolyFactorization(
+        name="H1",
+        k=3,
+        n=9,
+        x_power=567,
+        factors=fixtures.fixture("H1").factors[:-1],  # drop a base
+    )
+    monkeypatch.setitem(fixtures._FIXTURES, "H1", bad)
 
 
 def catalog_cyclotomic_verdict(catalog) -> bool:

@@ -30,13 +30,12 @@ from htspec import (
 from htspec.fixtures import (
     FIXTURE_NAMES,
     degree_check,
-    divisibility_probe,
     fixture,
     hypergraph,
     spectrum_crosscheck,
 )
 from htspec.spectra import zero_extend
-from htspec.subtrees import distinct_matching_polynomials, subtree_hypergraph
+from htspec.subtrees import distinct_matching_polynomials
 
 SET_TOL = 1e-8
 
@@ -64,8 +63,7 @@ def test_criterion_2_spectrum_assembly_matches_fixtures():
     with Budget("criterion 2: fixture spectrum assembly", 10.0):
         for name in FIXTURE_NAMES:
             report = spectrum_crosscheck(name, tol=SET_TOL)
-            assert report.bases == report.catalog_polys
-            assert report.max_witness_residual <= SET_TOL
+            assert report.bases_ok and report.spectrum_ok, report.detail
 
 
 def test_criterion_3_oracle_equivalence_and_multiplicativity():
@@ -155,16 +153,14 @@ def test_criterion_7_eigenpair_witnesses_on_h3():
     eigenvector with full support and residual <= 1e-8 whose
     zero-extension has residual <= 1e-8 on H3."""
     H3 = hypergraph("H3")
-    catalog = distinct_matching_polynomials(H3)
+    witness = helpers.first_subtrees(distinct_matching_polynomials(H3))
     spectrum = set_spectrum(H3, tol=SET_TOL)
     with Budget("criterion 7: eigenpair witnesses", 120.0):
         checked = 0
         for lam, source in zip(spectrum.values, spectrum.sources):
             if source is None or abs(lam) <= SET_TOL:
                 continue
-            poly_idx = catalog.polys.index(source.poly)
-            subset = catalog.subsets[catalog.witnesses(poly_idx)[0]]
-            sub = subtree_hypergraph(H3, subset)
+            sub = witness[source.poly]
             pair = find_totally_nonzero_eigenvector(sub, lam, tol=SET_TOL)
             assert len(pair.x) == sub.n
             assert all(abs(v) > SET_TOL for v in pair.x)
@@ -178,14 +174,14 @@ def test_criterion_7_eigenpair_witnesses_on_h3():
 def test_criterion_8_divisibility_and_degree_checks():
     """Exact divisibility: every cataloged subtree polynomial divides the
     factored characteristic polynomial; degree checks pass."""
-    with Budget("criterion 8: divisibility probe + degree checks", 120.0):
+    with Budget("criterion 8: divisibility + degree checks", 120.0):
         totals = {"H1": 2304, "H2": 2304, "H3": 11264}
         for name in FIXTURE_NAMES:
             f = fixture(name)
             assert degree_check(f)
             assert f.total_x_degree() == totals[name]
-            report = divisibility_probe(name)
-            assert report.all_divide(), name
+            report = spectrum_crosscheck(name)
+            assert report.degree_ok and report.divides_ok, name
 
 
 def test_criterion_9_rotation_symmetry():

@@ -274,22 +274,44 @@ def test_check_paper_passes(capsys):
 
 
 def test_check_paper_walks_each_host_once(capsys, monkeypatch):
-    from htspec import fixtures
+    from htspec import fixtures, spectra, subtrees
 
     fixtures.hypergraph.cache_clear()  # fresh fixture hosts, not yet walked
     walked = helpers.count_walks(monkeypatch)
+    catalogs, folds = [], []
+    real_counts, real_polys = subtrees._subtree_counts, subtrees._distinct_polys
+
+    def counted_catalog(*args):
+        catalogs.append(1)
+        return real_counts(*args)
+
+    def counted_fold(*args):
+        folds.append(1)
+        return real_polys(*args)
+
+    monkeypatch.setattr(subtrees, "_subtree_counts", counted_catalog)
+    monkeypatch.setattr(subtrees, "_distinct_polys", counted_fold)
+    monkeypatch.setattr(spectra, "_distinct_polys", counted_fold)
     code, _, _ = run(capsys, "check-paper")
     assert code == 0
     # H1-H3, and one witness subtree per distinct polynomial: 4 + 5 + 7
     assert len(walked) == len({id(H) for H in walked}) == 3 + 16
+    # one catalog per fixture, whose polynomials the spectrum reuses
+    assert len(catalogs) == 3 and not folds
 
 
 def test_ispower_walks_its_host_once(capsys, monkeypatch, tmp_path):
-    path = tmp_path / "path.json"
-    path.write_text(core.dumps(core.loose_path(30, 3)))
+    path = tmp_path / "host.json"
     walked = helpers.count_walks(monkeypatch)
-    code, _, _ = run(capsys, "ispower", str(path))
-    assert code == 0 and len(walked) == 1
+    # a power tree, then one with a power_obstruction edge
+    for host, verdicts in ((core.loose_path(30, 3), "true"), (core.comb(3), "false")):
+        path.write_text(core.dumps(host))
+        before = len(walked)
+        code, out, _ = run(capsys, "ispower", str(path))
+        assert code == 0 and len(walked) == before + 1
+        assert [line.split()[-1] for line in out.splitlines()] == [
+            verdicts, verdicts, "true"
+        ]
 
 
 def test_check_paper_columns_report_their_own_check(capsys, monkeypatch):
@@ -312,6 +334,19 @@ def test_check_paper_columns_report_their_own_check(capsys, monkeypatch):
     assert h1["factor_bases"] is True and h1["spectrum_set"] is False
     assert "planted pole" in h1["detail"]
     assert all(f["factor_bases"] and f["spectrum_set"] for f in rest)
+
+
+def test_check_paper_reports_a_dropped_base_in_its_own_columns(capsys, monkeypatch):
+    helpers.tamper_h1(monkeypatch)
+    code, out, _ = run(capsys, "check-paper", "--format", "json")
+    assert code == 2
+    blob = json.loads(out)
+    h1, *rest = blob["fixtures"]
+    assert blob["ok"] is False
+    # the bases mismatch leaves the witness check to run on the same catalog
+    assert h1["factor_bases"] is False and h1["spectrum_set"] is True
+    assert h1["divisibility"] is False and h1["multiplicities"]["x^3 - 1"] == 0
+    assert all(f["factor_bases"] and f["divisibility"] for f in rest)
 
 
 def test_identical_invocations_are_byte_identical(capsys, tmp_path):

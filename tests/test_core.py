@@ -377,7 +377,6 @@ def test_one_host_answers_every_walk_reader_in_either_order(monkeypatch, edges):
         host = fresh()
         for name, call in calls:
             assert call(host) == want[name], name
-        # a non-power host also walks the obstruction's 4-edge subtree
         assert sum(h is host for h in walked) == 1
 
 

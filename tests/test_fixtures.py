@@ -5,14 +5,14 @@ import random
 
 import pytest
 
+import helpers
 from helpers import poly_mul, poly_pow
-from htspec import _ratpoly, alpha_poly, comb, is_hypertree, is_power_tree
-from htspec.errors import MismatchReport, UnknownFixture, ValidationError
+from htspec import _ratpoly, alpha_poly, alpha_str, comb, is_hypertree, is_power_tree
+from htspec.errors import UnknownFixture, ValidationError
 from htspec.fixtures import (
     FIXTURE_NAMES,
     CharPolyFactorization,
     degree_check,
-    divisibility_probe,
     fixture,
     hypergraph,
     spectrum_crosscheck,
@@ -68,8 +68,11 @@ def test_factor_bases_pairwise_coprime():
 def test_spectrum_crosscheck_passes():
     for name in FIXTURE_NAMES:
         report = spectrum_crosscheck(name, tol=1e-8)
-        assert report.max_witness_residual <= 1e-8
-        assert report.bases == report.catalog_polys
+        assert report.name == name and report.ok
+        assert report.degree_ok and report.bases_ok and report.spectrum_ok
+        assert report.divides_ok
+        # "... max witness residual 1.23e-15"
+        assert float(report.detail.rsplit(" ", 1)[1]) <= 1e-8
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, -0.0, math.nan, math.inf, -math.inf])
@@ -84,61 +87,50 @@ def test_crosscheck_checks_tol_before_the_catalog(monkeypatch, tol):
         spectrum_crosscheck("H1", tol=tol)
 
 
-def tamper_h1(monkeypatch):
-    """Replace H1 by its factorization with the last base dropped."""
-    import htspec.fixtures as fx
-
-    bad = fx.CharPolyFactorization(
-        name="H1",
-        k=3,
-        n=9,
-        x_power=567,
-        factors=fixture("H1").factors[:-1],  # drop a base
-    )
-    monkeypatch.setitem(fx._FIXTURES, "H1", bad)
-
-
 def test_crosscheck_names_a_value_without_witness(monkeypatch):
     import htspec.fixtures as fx
 
-    real = fx.set_spectrum
+    real = fx._assemble
     nudged = []
 
-    def nudge_one(H, tol):
-        spectrum = real(H, tol)
+    def nudge_one(polys, k, tol):
+        spectrum = real(polys, k, tol)
         values = list(spectrum.values)
         j = next(j for j, s in enumerate(spectrum.sources) if s is not None)
         values[j] += 1e-3
         nudged.append(values[j])
         return SpectrumSet(tuple(values), tol, spectrum.k, spectrum.sources)
 
-    monkeypatch.setattr(fx, "set_spectrum", nudge_one)
-    with pytest.raises(MismatchReport) as info:
-        spectrum_crosscheck("H2", tol=1e-8)
-    assert str(nudged[0]) in str(info.value)
+    monkeypatch.setattr(fx, "_assemble", nudge_one)
+    report = spectrum_crosscheck("H2", tol=1e-8)
+    assert report.bases_ok and report.divides_ok
+    assert not report.spectrum_ok and not report.ok
+    assert report.detail.startswith("H2: ") and str(nudged[0]) in report.detail
 
 
-def test_crosscheck_raises_on_tampered_data(monkeypatch):
-    tamper_h1(monkeypatch)
-    with pytest.raises(MismatchReport) as info:
-        spectrum_crosscheck("H1")
-    assert info.value.expected is not None and info.value.got is not None
+def test_crosscheck_reports_tampered_data(monkeypatch):
+    helpers.tamper_h1(monkeypatch)
+    report = spectrum_crosscheck("H1")
+    # the same catalog still gives every value a witness
+    assert not report.bases_ok and report.spectrum_ok
+    assert not report.degree_ok and not report.ok
+    # the dropped base alpha - 1 is named on the catalog's side only
+    dropped = repr(alpha_str(alpha_poly([-1, 1])))
+    assert report.detail.startswith("H1: factor bases")
+    bases, polys = report.detail.split("differ")
+    assert dropped not in bases and dropped in polys
 
 
 def test_divisibility_probe_reports_a_dropped_base(monkeypatch):
-    tamper_h1(monkeypatch)
-    report = divisibility_probe("H1")
-    assert not report.all_divide()
-    observed = {
-        row.poly_x: (row.divides, row.observed_multiplicity)
-        for row in report.rows
-    }
-    assert observed == {
-        "x^3 - 1": (False, 0),
-        "x^3 - 2": (True, 27),
-        "x^6 - 3x^3 + 1": (True, 81),
-        "x^9 - 4x^6 + 3x^3 - 1": (True, 81),
-    }
+    helpers.tamper_h1(monkeypatch)
+    report = spectrum_crosscheck("H1")
+    assert not report.divides_ok
+    assert list(report.multiplicities.items()) == [
+        ("x^3 - 2", 27),
+        ("x^3 - 1", 0),
+        ("x^6 - 3x^3 + 1", 81),
+        ("x^9 - 4x^6 + 3x^3 - 1", 81),
+    ]
 
 
 def test_multiplicity_by_hand():
@@ -193,23 +185,22 @@ def test_multiplicity_matches_expand_and_divide():
 
 
 def test_divisibility_probe_h1():
-    report = divisibility_probe("H1")
-    assert report.all_divide()
-    observed = {row.poly_x: row.observed_multiplicity for row in report.rows}
-    assert observed == {
-        "x^3 - 1": 147,
-        "x^3 - 2": 27,
-        "x^6 - 3x^3 + 1": 81,
-        "x^9 - 4x^6 + 3x^3 - 1": 81,
-    }
+    report = spectrum_crosscheck("H1")
+    assert report.divides_ok
+    # in catalog order, (degree, coefficients)
+    assert list(report.multiplicities.items()) == [
+        ("x^3 - 2", 27),
+        ("x^3 - 1", 147),
+        ("x^6 - 3x^3 + 1", 81),
+        ("x^9 - 4x^6 + 3x^3 - 1", 81),
+    ]
 
 
 def test_divisibility_probe_h2():
-    report = divisibility_probe("H2")
-    assert report.all_divide()
-    observed = {row.poly_x: row.observed_multiplicity for row in report.rows}
-    assert observed["x^3 - 3"] == 27
-    assert observed["x^6 - 4x^3 + 2"] == 81
+    report = spectrum_crosscheck("H2")
+    assert report.divides_ok
+    assert report.multiplicities["x^3 - 3"] == 27
+    assert report.multiplicities["x^6 - 4x^3 + 2"] == 81
 
 
 def test_coprime_base_factors_every_input():
@@ -241,6 +232,10 @@ def test_coprime_base_factors_every_input():
 
 
 def test_divisibility_probes_take_few_gcds(monkeypatch):
+    phis = {
+        name: distinct_matching_polynomials(hypergraph(name)).polys
+        for name in FIXTURE_NAMES
+    }
     calls = []
     real = _ratpoly.gcd
 
@@ -250,7 +245,7 @@ def test_divisibility_probes_take_few_gcds(monkeypatch):
 
     monkeypatch.setattr(_ratpoly, "gcd", counted)
     for name in FIXTURE_NAMES:
-        assert divisibility_probe(name).all_divide()
+        assert min(fixture(name).multiplicities(phis[name])) >= 1
     # one copy of phi divided out per round took 8,072, and the base
     # before equal inputs were merged 156
     assert 0 < len(calls) <= 37
@@ -266,7 +261,7 @@ def test_divisibility_probe_builds_one_coprime_base(monkeypatch):
 
     monkeypatch.setattr(_ratpoly, "coprime_base", counted)
     for name in FIXTURE_NAMES:
-        divisibility_probe(name)
+        spectrum_crosscheck(name)
     assert len(bases) == len(FIXTURE_NAMES)
 
 

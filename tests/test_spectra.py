@@ -855,14 +855,12 @@ def test_every_spectrum_value_has_a_subtree_witness():
     rng = random.Random(73)
     for _ in range(5):
         H = random_hypertree(rng.randint(1, 5), rng.choice([3, 4]), rng)
-        catalog = distinct_matching_polynomials(H)
+        witness = helpers.first_subtrees(distinct_matching_polynomials(H))
         s = set_spectrum(H)
         for lam, source in zip(s.values, s.sources):
             if source is None:
                 continue
-            poly_idx = catalog.polys.index(source.poly)
-            subset = catalog.subsets[catalog.witnesses(poly_idx)[0]]
-            sub = subtree_hypergraph(H, subset)
+            sub = witness[source.poly]
             pair = find_totally_nonzero_eigenvector(sub, lam, tol=1e-8)
             extended = zero_extend(pair.x, sub.parent_vertices, H.n)
             assert eigen_residual(H, lam, extended) <= 1e-8
@@ -887,7 +885,7 @@ def test_cyclotomic_false_from_one_subtree(monkeypatch):
     # k >= 3: one real alpha root of three
     for k in (3, 4, 5):
         H = comb(k)
-        poly = spectra._obstruction_poly(H, power_obstruction(H))
+        poly = matching_polynomial(helpers.obstruction_subtree(H, power_obstruction(H)))
         assert poly.coeffs == (-1, 3, -4, 1)
         assert spectra._sturm_counts(poly) == (1, 3)
 
@@ -1086,16 +1084,13 @@ def test_root_refinement_budget_is_enforced():
 
 def test_witness_extension_into_host():
     H3 = hypergraph("H3")
-    catalog = distinct_matching_polynomials(H3)
     s = set_spectrum(H3)
     lam, source = next(
         (v, src)
         for v, src in zip(s.values, s.sources)
         if src is not None and abs(v) > 1e-8
     )
-    poly_idx = catalog.polys.index(source.poly)
-    subset = catalog.subsets[catalog.witnesses(poly_idx)[0]]
-    sub = subtree_hypergraph(H3, subset)
+    sub = helpers.first_subtrees(distinct_matching_polynomials(H3))[source.poly]
     pair = find_totally_nonzero_eigenvector(sub, lam)
     extended = zero_extend(pair.x, sub.parent_vertices, H3.n)
     assert eigen_residual(H3, lam, extended) <= 1e-8

@@ -4,7 +4,6 @@ recognition."""
 
 from .core import (
     UniformHypergraph,
-    VertexSet,
     build,
     comb,
     induced,
@@ -58,7 +57,6 @@ __all__ = [
     "SpectrumSet",
     "SubtreeCatalog",
     "UniformHypergraph",
-    "VertexSet",
     "alpha_poly",
     "alpha_roots",
     "alpha_str",

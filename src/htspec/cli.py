@@ -307,7 +307,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol": dict(
             type=_tolerance,
             default=spectra.DEFAULT_SET_TOL,
-            help="set membership / dedup tolerance (default 1e-8)",
+            help=(
+                "set membership and dedup (spectrum); residual and entry "
+                "bound (eigvec, check-paper); default 1e-8"
+            ),
         ),
         "--seed": dict(
             type=int,

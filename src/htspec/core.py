@@ -26,26 +26,6 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class VertexSet:
-    """Sorted set of vertex labels of some host hypergraph."""
-
-    members: tuple[int, ...]
-
-    @classmethod
-    def of(cls, items: Iterable[int]) -> "VertexSet":
-        return cls(tuple(sorted(set(items))))
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-@dataclass(frozen=True)
 class UniformHypergraph:
     """Canonical k-uniform hypergraph on vertices 1..n.
 
@@ -243,14 +223,14 @@ def edge_adjacency_masks(H: UniformHypergraph) -> list[int]:
     return adj
 
 
-def induced(H: UniformHypergraph, U: VertexSet | Iterable[int]) -> UniformHypergraph:
+def induced(H: UniformHypergraph, U: Iterable[int]) -> UniformHypergraph:
     """Induced sub-hypergraph on U, relabeled to 1..|U|.
 
     Edges are exactly those of H fully contained in U.  The original
     labels are retained in ``parent_vertices`` so eigenvector support
     arguments can map back into H.
     """
-    members = U.members if isinstance(U, VertexSet) else tuple(sorted(set(U)))
+    members = tuple(sorted(set(U)))
     if not members:
         raise ValidationError("induced subgraph needs a nonempty vertex set")
     for v in members:
@@ -264,12 +244,12 @@ def induced(H: UniformHypergraph, U: VertexSet | Iterable[int]) -> UniformHyperg
     return build(H.k, len(members), sub_edges, parent_vertices=members)
 
 
-def vertex_union(H: UniformHypergraph, edge_indices: Iterable[int]) -> VertexSet:
-    """Union of the vertex sets of the given edges of H."""
+def vertex_union(H: UniformHypergraph, edge_indices: Iterable[int]) -> tuple[int, ...]:
+    """Union of the vertex sets of the given edges of H, sorted."""
     verts: set[int] = set()
     for i in edge_indices:
         verts.update(H.edges[i])
-    return VertexSet.of(verts)
+    return tuple(sorted(verts))
 
 
 # -- generators ------------------------------------------------------------

@@ -21,7 +21,7 @@ from .errors import ConvergenceError, UnknownFixture, ValidationError
 from .matching import AlphaPolynomial, alpha_poly, alpha_str, x_str
 from .spectra import (
     DEFAULT_SET_TOL,
-    _assemble,
+    _lifts,
     _require_tol,
     eigen_residual,
     find_totally_nonzero_eigenvector,
@@ -181,17 +181,19 @@ def spectrum_crosscheck(name: str, tol: float = DEFAULT_SET_TOL) -> FixtureRepor
     (a) degree: ``degree_check``.
     (b) bases: the catalog's distinct polynomials must equal the
         fixture's nontrivial factor bases exactly (integer coefficients).
-    (c) spectrum: the set spectrum is assembled from the catalog's
-        polynomials, with the values and sources of ``set_spectrum``.
-        Every nonzero value lambda must have a host witness: the first
-        subtree, in (size, indices) order, whose polynomial is lambda's
-        source polynomial gets an eigenvector at lambda by the
-        leaf-to-root elimination of ``find_totally_nonzero_eigenvector``,
-        and its zero extension to the host must have residual <= ``tol``
-        there.  The extension is an eigenvector because k >= 3: an edge
-        outside the subtree meets it in at most one vertex, so every
-        product over such an edge keeps a zero factor.  The first pole
-        or miss fails the check, naming lambda.
+    (c) spectrum: every lift lambda (lambda^k = alpha) of every distinct
+        alpha root of the catalog's polynomials, in the order of
+        ``spectra._lifts``, must have a host witness: the first subtree,
+        in (size, indices) order, whose polynomial is lambda's source
+        gets an eigenvector at lambda by the leaf-to-root elimination of
+        ``find_totally_nonzero_eigenvector``, and its zero extension to
+        the host must have residual <= ``tol`` there.  The extension is
+        an eigenvector because k >= 3: an edge outside the subtree meets
+        it in at most one vertex, so every product over such an edge
+        keeps a zero factor.  No value is deduplicated, so ``tol`` bounds
+        only the residual and the entries, never which values are
+        checked.  The first lambda with a pole, a miss, or a modulus
+        <= tol fails the check, naming lambda and the cause.
     (d) divisibility: every catalog polynomial must divide the factored
         characteristic polynomial, by the exact multiplicities of
         ``CharPolyFactorization.multiplicities``.  The x^power prefactor
@@ -222,15 +224,13 @@ def spectrum_crosscheck(name: str, tol: float = DEFAULT_SET_TOL) -> FixtureRepor
     for F, j in zip(catalog.subsets, catalog.poly_of_subset):
         first.setdefault(j, F)
     witness = {catalog.polys[j]: subtree_hypergraph(H, F) for j, F in first.items()}
-    spectrum = _assemble(catalog.polys, H.k, tol)
-    worst, failure = 0.0, None
-    for lam, source in zip(spectrum.values, spectrum.sources):
-        if source is None:
-            continue
+    lifts, worst, failure = 0, 0.0, None
+    for lam, source in _lifts(catalog.polys, H.k):
+        lifts += 1
         sub = witness[source.poly]
         try:
             pair = find_totally_nonzero_eigenvector(sub, lam, tol)
-        except ConvergenceError as exc:
+        except (ConvergenceError, ValidationError) as exc:
             failure = f"no witness for lambda = {lam}: {exc}"
             break
         residual = eigen_residual(H, lam, zero_extend(pair.x, sub.parent_vertices, H.n))
@@ -248,7 +248,7 @@ def spectrum_crosscheck(name: str, tol: float = DEFAULT_SET_TOL) -> FixtureRepor
         detail = f"{f.name}: " + "; ".join(problems)
     else:
         detail = (
-            f"{len(bases)} bases, {len(spectrum.values)} spectrum values, "
+            f"{len(bases)} bases, {1 + lifts} spectrum values, "
             f"max witness residual {worst:.2e}"
         )
     return FixtureReport(

@@ -24,13 +24,14 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 
 from . import _ratpoly as _rp
-from .core import UniformHypergraph, VertexSet, hypertree_walk, power_obstruction
+from .core import UniformHypergraph, hypertree_walk, power_obstruction
 from .errors import (
     DidNotConverge,
     DimensionMismatch,
     NoConvergence,
     UniformityTwoUnsupported,
     ValidationError,
+    VertexOutOfRange,
 )
 from .matching import (
     AlphaPolynomial,
@@ -732,7 +733,8 @@ def _require_finite_lam(lam: complex) -> None:
 def _require_nonzero_lam(lam: complex, tol: float) -> None:
     if abs(lam) <= tol:
         raise ValidationError(
-            "a totally nonzero eigenpair requires a nonzero eigenvalue"
+            "a totally nonzero eigenpair requires a nonzero eigenvalue, "
+            f"|lambda| > tol {tol:g}"
         )
 
 
@@ -788,23 +790,6 @@ def _distinct_lifts(lifts, tol, kept):
     return kept, grid
 
 
-def _assemble(polys, k: int, tol: float) -> SpectrumSet:
-    """The set spectrum of ``set_spectrum`` from its distinct subtree
-    polynomials, in (degree, coefficients) order, the host's k and tol."""
-    kept, grid = _distinct_lifts(_lifts(polys, k), tol, [(0j, None)])
-    kept.sort(key=lambda item: (item[0].real, item[0].imag))
-    spec = SpectrumSet(
-        values=tuple(v for v, _ in kept),
-        tol=tol,
-        k=k,
-        sources=tuple(src for _, src in kept),
-    )
-    # the grid files exactly these values; the cached property reads
-    # the instance dict, so the set never builds a second one
-    vars(spec)["_grid"] = grid
-    return spec
-
-
 def set_spectrum(
     H: UniformHypergraph,
     tol: float = DEFAULT_SET_TOL,
@@ -831,7 +816,19 @@ def set_spectrum(
     """
     _require_tol(tol)
     _require_spectrum_input(H)
-    return _assemble(_distinct_polys(H, max_subsets), H.k, tol)
+    lifts = _lifts(_distinct_polys(H, max_subsets), H.k)
+    kept, grid = _distinct_lifts(lifts, tol, [(0j, None)])
+    kept.sort(key=lambda item: (item[0].real, item[0].imag))
+    spec = SpectrumSet(
+        values=tuple(v for v, _ in kept),
+        tol=tol,
+        k=H.k,
+        sources=tuple(src for _, src in kept),
+    )
+    # the grid files exactly these values; the cached property reads
+    # the instance dict, so the set never builds a second one
+    vars(spec)["_grid"] = grid
+    return spec
 
 
 def _matching_number(order, children) -> int:
@@ -1136,17 +1133,21 @@ def _leaf_to_root_eigenvector(order, children, k, lam) -> list[complex] | None:
 
 def zero_extend(
     x_sub: list[complex] | tuple[complex, ...],
-    original_labels: tuple[int, ...] | VertexSet,
+    labels: tuple[int, ...],
     host_n: int,
 ) -> list[complex]:
-    """Place a subtree eigenvector into the host, zeros elsewhere."""
-    labels = (
-        original_labels.members
-        if isinstance(original_labels, VertexSet)
-        else tuple(original_labels)
-    )
+    """Place a subtree eigenvector into the host, zeros elsewhere: entry
+    i of x_sub goes to host vertex labels[i], as in a subtree's
+    ``parent_vertices``.  DimensionMismatch unless x_sub and labels have
+    the same length, VertexOutOfRange for a label outside 1..host_n."""
+    if len(x_sub) != len(labels):
+        raise DimensionMismatch(
+            f"{len(x_sub)} entries for {len(labels)} vertex labels"
+        )
     out = [0j] * host_n
     for label, value in zip(labels, x_sub):
+        if not 1 <= label <= host_n:
+            raise VertexOutOfRange(f"vertex {label} outside 1..{host_n}")
         out[label - 1] = value
     return out
 

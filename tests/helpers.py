@@ -108,8 +108,7 @@ def disjoint_union(*graphs: UniformHypergraph) -> UniformHypergraph:
 
 def induced_closure_holds(H: UniformHypergraph, F: EdgeSubset) -> bool:
     """True iff the subgraph induced on F's vertex union has edge set F."""
-    members = vertex_union(H, F.indices)
-    inside = set(members)
+    inside = set(vertex_union(H, F.indices))
     induced_edges = {
         i for i, e in enumerate(H.edges) if inside.issuperset(e)
     }

@@ -336,6 +336,20 @@ def test_check_paper_columns_report_their_own_check(capsys, monkeypatch):
     assert all(f["factor_bases"] and f["spectrum_set"] for f in rest)
 
 
+def test_check_paper_at_a_coarse_tol_fails_in_its_report(capsys):
+    # every nonzero value of H1-H3 has modulus below 10, so the first
+    # lift of each fixture is within tol of 0 and has no witness
+    code, out, err = run(capsys, "check-paper", "--tol", "10")
+    assert code == 2 and err == ""
+    lines = out.splitlines()
+    assert [row.split() for row in lines[1::2]] == [
+        [name, "pass", "pass", "FAIL", "pass"] for name in ("H1", "H2", "H3")
+    ]
+    for name, detail in zip(("H1", "H2", "H3"), lines[2::2]):
+        assert detail.strip().startswith(f"{name}: no witness for lambda = (")
+        assert detail.endswith("|lambda| > tol 10")
+
+
 def test_check_paper_reports_a_dropped_base_in_its_own_columns(capsys, monkeypatch):
     helpers.tamper_h1(monkeypatch)
     code, out, _ = run(capsys, "check-paper", "--format", "json")

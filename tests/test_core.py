@@ -32,7 +32,6 @@ from htspec import (
     star,
 )
 from htspec.core import (
-    VertexSet,
     dumps,
     hypertree_walk,
     loads,
@@ -324,12 +323,6 @@ def test_json_rejects_malformed_payloads():
         loads('{"k": "3", "n": 3, "edges": []}')
     with pytest.raises(ValidationError):
         loads("{nope")
-
-
-def test_vertex_set_membership():
-    vs = VertexSet.of([3, 1, 2, 3])
-    assert vs.members == (1, 2, 3)
-    assert 2 in vs and 5 not in vs and len(vs) == 3
 
 
 # -- the walk memo: one walk per host object -----------------------------------

@@ -17,7 +17,6 @@ from htspec.fixtures import (
     hypergraph,
     spectrum_crosscheck,
 )
-from htspec.spectra import SpectrumSet
 from htspec.subtrees import distinct_matching_polynomials
 
 
@@ -90,22 +89,30 @@ def test_crosscheck_checks_tol_before_the_catalog(monkeypatch, tol):
 def test_crosscheck_names_a_value_without_witness(monkeypatch):
     import htspec.fixtures as fx
 
-    real = fx._assemble
+    real = fx._lifts
     nudged = []
 
-    def nudge_one(polys, k, tol):
-        spectrum = real(polys, k, tol)
-        values = list(spectrum.values)
-        j = next(j for j, s in enumerate(spectrum.sources) if s is not None)
-        values[j] += 1e-3
-        nudged.append(values[j])
-        return SpectrumSet(tuple(values), tol, spectrum.k, spectrum.sources)
+    def nudge_one(polys, k):
+        lifts = real(polys, k)
+        lam, source = next(lifts)
+        nudged.append(lam + 1e-3)
+        yield nudged[0], source
+        yield from lifts
 
-    monkeypatch.setattr(fx, "_assemble", nudge_one)
+    monkeypatch.setattr(fx, "_lifts", nudge_one)
     report = spectrum_crosscheck("H2", tol=1e-8)
     assert report.bases_ok and report.divides_ok
     assert not report.spectrum_ok and not report.ok
     assert report.detail.startswith("H2: ") and str(nudged[0]) in report.detail
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8, 0.5])
+def test_crosscheck_witnesses_every_lift_at_any_passing_tol(tol):
+    # every lift is witnessed, so the count does not depend on tol
+    for name, values in (("H1", 22), ("H2", 22), ("H3", 40)):
+        report = spectrum_crosscheck(name, tol=tol)
+        assert report.spectrum_ok and report.ok, report.detail
+        assert f" {values} spectrum values, " in report.detail
 
 
 def test_crosscheck_reports_tampered_data(monkeypatch):

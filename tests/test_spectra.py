@@ -43,6 +43,7 @@ from htspec.errors import (
     NotAHypertree,
     UniformityTwoUnsupported,
     ValidationError,
+    VertexOutOfRange,
 )
 from htspec.fixtures import hypergraph
 from htspec.matching import matching_counts_tree
@@ -965,6 +966,19 @@ def test_eigen_residual_closed_forms():
     assert eigen_residual(P2, complex(lam), [1, 1, lam, 1, 1]) == 0
     with pytest.raises(DimensionMismatch):
         eigen_residual(P2, 0j, [1, 2, 3])
+
+
+@pytest.mark.parametrize("x_sub", [[1j], [1j, 2j, 3j]])
+def test_zero_extend_rejects_a_length_mismatch(x_sub):
+    with pytest.raises(DimensionMismatch):
+        zero_extend(x_sub, (1, 2), 3)
+
+
+@pytest.mark.parametrize("labels", [(0, 1), (1, 4)])
+def test_zero_extend_rejects_a_label_outside_the_host(labels):
+    # a label of 0 would otherwise index the host's last vertex
+    with pytest.raises(VertexOutOfRange):
+        zero_extend([1j, 2j], labels, 3)
 
 
 def test_find_eigenvector_single_edge():

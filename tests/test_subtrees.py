@@ -133,7 +133,7 @@ def test_enumeration_completeness_against_vertex_scan():
     hosts += [random_hypertree(7, 3, rng)]  # n = 15
     for H in hosts:
         from_edges = {
-            vertex_union(H, F.indices).members
+            vertex_union(H, F.indices)
             for F in distinct_matching_polynomials(H).subsets
         }
         singletons = {(v,) for v in range(1, H.n + 1)}

@@ -40,7 +40,7 @@ from .matching import (
     alpha_str,
     horner,
 )
-from .subtrees import DEFAULT_MAX_SUBSETS, _distinct_polys
+from .subtrees import DEFAULT_MAX_SUBSETS, _distinct_polys, _require_max_subsets
 
 DEFAULT_SET_TOL = 1e-8
 ROOT_TOL = 1e-12  # the relative residual target of alpha_roots' Aberth roots
@@ -802,7 +802,7 @@ def set_spectrum(
     The polynomials come from the distinct-state DP
     ``subtrees._distinct_polys``, in the (degree, coefficients) order of
     ``distinct_matching_polynomials``; ``max_subsets`` caps the DP's
-    states, not subsets.
+    states, not subsets, and must be an int >= 1 (ValidationError).
     Lifts are taken in that order, and one within ``tol`` of a value
     already kept is dropped, so the first accepted wins and keeps its
     source.  An alpha root equal to one already lifted, as subtrees
@@ -815,6 +815,7 @@ def set_spectrum(
     in complete families.
     """
     _require_tol(tol)
+    _require_max_subsets(max_subsets)
     _require_spectrum_input(H)
     lifts = _lifts(_distinct_polys(H, max_subsets), H.k)
     kept, grid = _distinct_lifts(lifts, tol, [(0j, None)])
@@ -1021,8 +1022,10 @@ def is_cyclotomic_spectrum(
     as ``power_obstruction`` finds such an edge, in O(mk), with no
     polynomial built.  Otherwise every distinct polynomial of
     ``subtrees._distinct_polys`` is tested, with ``max_subsets`` capping
-    its states.
+    its states; it must be an int >= 1 (ValidationError), even where
+    the obstruction answers first.
     """
+    _require_max_subsets(max_subsets)
     _require_spectrum_input(H)
     if power_obstruction(H) is not None:
         return False

@@ -13,10 +13,22 @@ import math
 from dataclasses import dataclass
 
 from .core import UniformHypergraph, hypertree_walk, induced, vertex_union
-from .errors import CatalogTooLarge
+from .errors import CatalogTooLarge, ValidationError
 from .matching import AlphaPolynomial, MatchingCounts, poly_to_json, to_alpha_poly
 
 DEFAULT_MAX_SUBSETS = 10**6
+
+
+def _require_max_subsets(max_subsets: int) -> None:
+    """ValidationError unless ``max_subsets`` is an int >= 1 (not a bool)."""
+    if (
+        isinstance(max_subsets, bool)
+        or not isinstance(max_subsets, int)
+        or max_subsets < 1
+    ):
+        raise ValidationError(
+            f"max_subsets must be an int >= 1, got {max_subsets!r}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,15 +36,6 @@ class EdgeSubset:
     """Sorted indices into the host hypertree's canonical edge list."""
 
     indices: tuple[int, ...]
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "EdgeSubset":
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return cls(tuple(out))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -87,8 +90,9 @@ def _fold(H: UniformHypergraph, max_states: int, masks: bool):
     i-matchings of a subforest of H, which is at most C(m, i) <= 2^m <
     2^w.  Ints also hash cheaply, which makes the per-vertex sets cheap.
 
-    With ``masks``, each option for e starts with mask 1 << e, so no two
-    subsets share a state and v's set holds one state per subset topped
+    With ``masks``, each option for e starts with mask 1 << (m - 1 - e),
+    so edge e holds bit m - 1 - e (``_subtree_counts`` says why), no two
+    subsets share a state, and v's set holds one state per subset topped
     at v: each subset is built once, by one join from smaller ones.
     Without, every mask is 0 and v keeps only the distinct (A, B) states:
     two subsets with equal (A, B) give equal states after every later
@@ -122,7 +126,7 @@ def _fold(H: UniformHypergraph, max_states: int, masks: bool):
         top = {(1, 1, 0)}
         room = max_states - built + 1  # top's size limit, (1, 1, 0) included
         for i, kids in children[v]:
-            options = {(1, 1, 1 << i if masks else 0)}
+            options = {(1, 1, 1 << (H.m - 1 - i) if masks else 0)}
             for c in kids:
                 grown = set()
                 for pa, pb, pm in options:
@@ -165,6 +169,15 @@ def _subtree_counts(
     """Every nonempty connected edge subset of H with its packed A count
     list from ``_fold``, in (size, indices) order.
 
+    That order is one int sort of the fold's masks.  Take two subsets
+    of one size: the first index where their sorted tuples differ lies
+    in the one that comes first, and it is the smallest index of their
+    symmetric difference.  Edge e holds bit m - 1 - e, so that index
+    holds the highest bit where the masks differ, and (indices) order is
+    descending mask order: at m = 4, {0, 3} has mask 9 and precedes
+    {1, 2}, mask 6.  The key (popcount << m) - mask orders by size, then
+    so.  Each mask is decoded into its EdgeSubset once, after the sort.
+
     Subsets topped at v number T(v) - 1, where T(v) is the product over
     v's child edges of 1 + the product of the children's T.  That count
     is checked against ``max_subsets`` before any state is built, so the
@@ -182,12 +195,18 @@ def _subtree_counts(
             f"more than {max_subsets} connected edge subsets: "
             f"the host has {total}"
         )
+    m = H.m
     fold = _fold(H, max_subsets, True)
     found = [(mask, a) for top in fold for a, _, mask in top if mask]
+    found.sort(key=lambda ma: (ma[0].bit_count() << m) - ma[0])
     # the fold's states are gone before the EdgeSubsets come, which lowers the peak
     for j, (mask, a) in enumerate(found):
-        found[j] = EdgeSubset.from_mask(mask), a
-    found.sort(key=lambda sa: (len(sa[0]), sa[0].indices))
+        out = []
+        while mask:
+            bits = mask.bit_length()
+            out.append(m - bits)  # edge e holds bit m - 1 - e
+            mask ^= 1 << (bits - 1)
+        found[j] = EdgeSubset(tuple(out)), a
     return found
 
 
@@ -219,10 +238,14 @@ def distinct_matching_polynomials(
     exponential in m on bushy trees and quadratic on loose paths.  The
     packed count list is the dedup key: it and the alpha polynomial
     determine each other, so each distinct one is converted once.
+    ``subsets`` come in (size, indices) order, from one int sort of the
+    fold's bit-reversed edge masks (see ``_subtree_counts``).
+    ValidationError unless ``max_subsets`` is an int >= 1 (not a bool);
     CatalogTooLarge, from an up-front count, when there are more than
     ``max_subsets`` subsets.  Vertex-only subtrees (polynomial 1, no
     roots) are not represented.
     """
+    _require_max_subsets(max_subsets)
     found = _subtree_counts(H, max_subsets)
     ranked = _ranked_polys({a for _, a in found}, H.m + 1)
     rank = {a: j for j, (a, _) in enumerate(ranked)}

@@ -1,6 +1,7 @@
 """Connected edge-subset enumeration and the subtree polynomial catalog."""
 
 import random
+import re
 
 import pytest
 
@@ -12,18 +13,20 @@ from htspec import (
     comb,
     distinct_matching_polynomials,
     induced,
+    is_cyclotomic_spectrum,
     is_hypertree,
     loose_path,
     matching_counts_tree,
     power,
     random_hypertree,
+    set_spectrum,
     star,
     subtree_hypergraph,
     to_alpha_poly,
 )
 from htspec import subtrees
 from htspec.core import vertex_union
-from htspec.errors import CatalogTooLarge, NotAHypertree
+from htspec.errors import CatalogTooLarge, NotAHypertree, ValidationError
 from htspec.fixtures import hypergraph
 from htspec.subtrees import EdgeSubset
 
@@ -77,6 +80,40 @@ def test_catalog_size_of_combs():
     assert len(runs) == 2485
     subsets = distinct_matching_polynomials(loose_path(70, 3)).subsets
     assert [s.indices for s in subsets] == runs
+
+
+def test_catalog_order_is_size_then_indices_where_natural_masks_disagree():
+    # by natural masks (edge e at bit e) {1, 2} is 6 and precedes {0, 3},
+    # 9; the catalog lists subsets of one size by their sorted indices
+    listed = [s.indices for s in distinct_matching_polynomials(star(4, 3)).subsets]
+    assert listed.index((0, 3)) < listed.index((1, 2))
+    rng = random.Random(67)
+    hosts = [star(4, 3), comb(4)]
+    hosts += [random_hypertree(rng.randint(8, 12), k, rng) for k in (3, 4)]
+    hosts += [power(random_hypertree(9, 2, rng), 3)]
+    for H in hosts:
+        listed = [s.indices for s in distinct_matching_polynomials(H).subsets]
+        assert listed == sorted(listed, key=lambda t: (len(t), t))
+        # the host tells the two orders apart
+        natural = sorted(listed, key=lambda t: (len(t), sum(1 << i for i in t)))
+        assert natural != listed
+
+
+@pytest.mark.parametrize("cap", [True, 0, -1, 2.5, "6", None])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda H, cap: distinct_matching_polynomials(H, max_subsets=cap),
+        lambda H, cap: set_spectrum(H, max_subsets=cap),
+        lambda H, cap: is_cyclotomic_spectrum(H, cap),
+    ],
+    ids=["catalog", "set_spectrum", "is_cyclotomic_spectrum"],
+)
+def test_max_subsets_must_be_a_positive_int(entry, cap):
+    # comb(3) is no power tree: its obstruction edge decides is_cyclotomic_spectrum
+    for H in (loose_path(3, 3), comb(3)):
+        with pytest.raises(ValidationError, match=f"got {re.escape(repr(cap))}$"):
+            entry(H, cap)
 
 
 def test_subset_cap():

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import getitem
 
 from .core import UniformHypergraph, hypertree_walk, induced, vertex_union
 from .errors import CatalogTooLarge, ValidationError
-from .matching import AlphaPolynomial, MatchingCounts, poly_to_json, to_alpha_poly
+from .matching import AlphaPolynomial, poly_to_json
 
 DEFAULT_MAX_SUBSETS = 10**6
 
@@ -57,15 +58,15 @@ class SubtreeCatalog:
     poly_of_subset: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
+        """Each distinct polynomial's JSON form is built once and shared
+        by every subset that has it."""
+        forms = [poly_to_json(p) for p in self.polys]
         return {
             "subtrees": [
-                {
-                    "edges": list(s.indices),
-                    "phi_alpha": poly_to_json(self.polys[p]),
-                }
+                {"edges": list(s.indices), "phi_alpha": forms[p]}
                 for s, p in zip(self.subsets, self.poly_of_subset)
             ],
-            "distinct_polys": [poly_to_json(p) for p in self.polys],
+            "distinct_polys": forms,
         }
 
 
@@ -149,17 +150,32 @@ def _fold(H: UniformHypergraph, max_states: int, masks: bool):
 
 def _ranked_polys(packed: set[int], w: int) -> list[tuple[int, AlphaPolynomial]]:
     """Each packed A count list of ``_fold`` (slots of w bits) with its
-    alpha polynomial, sorted by (degree, coefficients)."""
+    alpha polynomial, sorted by (degree, coefficients).
+
+    Slot i holds the number of i-matchings, and the coefficient of
+    alpha^(d - i) is (-1)^i times it, so the signed slots reversed are
+    the little-endian coefficients, built straight from the int with no
+    ``MatchingCounts`` round trip.  ValidationError, as ``MatchingCounts``
+    raises it, unless slot 0 holds 1; the top slot is nonzero by
+    construction, and ``AlphaPolynomial`` checks its lead.  Equal lengths
+    mean equal degrees, so (length, coefficients) is the same order.
+    """
     slot = (1 << w) - 1
     ranked = []
     for a in packed:
-        counts = []
+        if a & slot != 1:
+            raise ValidationError("matching counts must start with counts[0] = 1")
+        coeffs = []
         rest = a
+        neg = False
         while rest:
-            counts.append(rest & slot)
+            c = rest & slot
+            coeffs.append(-c if neg else c)
+            neg = not neg
             rest >>= w
-        ranked.append((a, to_alpha_poly(MatchingCounts(tuple(counts)))))
-    ranked.sort(key=lambda ap: (ap[1].degree, ap[1].coeffs))
+        coeffs.reverse()
+        ranked.append((a, AlphaPolynomial(tuple(coeffs))))
+    ranked.sort(key=lambda ap: (len(ap[1].coeffs), ap[1].coeffs))
     return ranked
 
 
@@ -176,7 +192,13 @@ def _subtree_counts(
     holds the highest bit where the masks differ, and (indices) order is
     descending mask order: at m = 4, {0, 3} has mask 9 and precedes
     {1, 2}, mask 6.  The key (popcount << m) - mask orders by size, then
-    so.  Each mask is decoded into its EdgeSubset once, after the sort.
+    so.  Each mask is decoded into its EdgeSubset once, after the sort,
+    by per-byte tables: with width = ceil(m / 8) bytes, table j (highest
+    byte first) maps each byte value to the ascending edge indices its
+    set bits stand for, so the indices are the concatenation of
+    ``table[b]`` over the mask's big-endian bytes.  The highest byte
+    holds the r = m - 8 (width - 1) lowest edges, so its table has only
+    the 2^r values they can make.
 
     Subsets topped at v number T(v) - 1, where T(v) is the product over
     v's child edges of 1 + the product of the children's T.  That count
@@ -200,13 +222,20 @@ def _subtree_counts(
     found = [(mask, a) for top in fold for a, _, mask in top if mask]
     found.sort(key=lambda ma: (ma[0].bit_count() << m) - ma[0])
     # the fold's states are gone before the EdgeSubsets come, which lowers the peak
+    width = (m + 7) // 8
+    tables = []
+    for j in range(width):
+        # bit t of byte j is mask bit 8 * (width - 1 - j) + t, so edge base - t
+        base = m - 1 - 8 * (width - 1 - j)
+        table = [()]
+        for t in range(min(8, base + 1)):  # no edge below 0
+            # the byte values below 2^(t+1) with bit t set, in order; their
+            # edge base - t is the smallest of each, so it comes first
+            table += [(base - t,) + rest for rest in table]
+        tables.append(table)
     for j, (mask, a) in enumerate(found):
-        out = []
-        while mask:
-            bits = mask.bit_length()
-            out.append(m - bits)  # edge e holds bit m - 1 - e
-            mask ^= 1 << (bits - 1)
-        found[j] = EdgeSubset(tuple(out)), a
+        indices = sum(map(getitem, tables, mask.to_bytes(width, "big")), ())
+        found[j] = EdgeSubset(indices), a
     return found
 
 

@@ -1,5 +1,6 @@
 """Connected edge-subset enumeration and the subtree polynomial catalog."""
 
+import itertools
 import random
 import re
 
@@ -97,6 +98,34 @@ def test_catalog_order_is_size_then_indices_where_natural_masks_disagree():
         # the host tells the two orders apart
         natural = sorted(listed, key=lambda t: (len(t), sum(1 << i for i in t)))
         assert natural != listed
+
+
+def _listed(H):
+    return [s.indices for s in distinct_matching_polynomials(H).subsets]
+
+
+def test_catalog_decode_at_byte_boundaries():
+    # masks of 1, 7, 8 and 9 edges, and of 15, 16 and 17, fill a byte,
+    # or spill one edge past it, from either side
+    rng = random.Random(71)
+    for m in (1, 7, 8, 9):
+        H = random_hypertree(m, 3, rng)
+        brute = [
+            tuple(e for e in range(m) if mask >> e & 1)
+            for mask in helpers.brute_connected_edge_masks(H)
+        ]
+        assert _listed(H) == sorted(brute, key=lambda t: (len(t), t))
+    for m in (15, 16, 17):
+        # every edge subset of a star is connected
+        assert _listed(star(m, 3)) == [
+            c for r in range(1, m + 1) for c in itertools.combinations(range(m), r)
+        ]
+        # and those of a loose path are its index intervals
+        assert _listed(loose_path(m, 3)) == [
+            tuple(range(i, i + size))
+            for size in range(1, m + 1)
+            for i in range(m + 1 - size)
+        ]
 
 
 @pytest.mark.parametrize("cap", [True, 0, -1, 2.5, "6", None])
@@ -249,14 +278,16 @@ def test_catalog_polys_match_per_subset_dp():
 
 
 def test_catalog_converts_each_distinct_count_tuple_once(monkeypatch):
+    # packed count lists become polynomials in _ranked_polys, one
+    # AlphaPolynomial each
     calls = []
-    convert = subtrees.to_alpha_poly
+    convert = subtrees.AlphaPolynomial
 
-    def counted(c):
-        calls.append(c.counts)
-        return convert(c)
+    def counted(coeffs):
+        calls.append(coeffs)
+        return convert(coeffs)
 
-    monkeypatch.setattr(subtrees, "to_alpha_poly", counted)
+    monkeypatch.setattr(subtrees, "AlphaPolynomial", counted)
     catalog = distinct_matching_polynomials(star(12, 3))
     assert len(catalog.subsets) == 4095
     assert len(catalog.polys) == 12

@@ -54,7 +54,8 @@ class CatalogTooLarge(ValidationError):
 # -- spectra -------------------------------------------------------------------
 
 class UniformityTwoUnsupported(ValidationError):
-    """Spectrum operations are defined here only for uniformity k >= 3."""
+    """Set-spectrum assembly from subtrees (``set_spectrum``,
+    ``is_cyclotomic_spectrum``) holds only for uniformity k >= 3."""
 
 
 class DimensionMismatch(ValidationError):

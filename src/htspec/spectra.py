@@ -1,4 +1,7 @@
-"""Numerical spectrum operations for k-uniform hypertrees, k >= 3.
+"""Numerical spectrum operations for k-uniform hypertrees.
+
+The set spectrum and the cyclotomic verdict need k >= 3; the spectral
+radius and the eigenvector constructions hold for k = 2 as well.
 
 The set spectrum of a hypertree is {0} together with every k-th root of
 every root (in alpha = x^k) of every connected induced subtree's
@@ -739,7 +742,9 @@ def _require_nonzero_lam(lam: complex, tol: float) -> None:
 
 
 def _require_spectrum_input(H: UniformHypergraph) -> None:
-    """k >= 3, then H a hypertree (``hypertree_walk``)."""
+    """k >= 3, then H a hypertree (``hypertree_walk``): the input of the
+    set-spectrum assembly from subtrees.  The radius and eigenvector
+    calls read only the walk, which holds for k = 2 as well."""
     if H.k == 2:
         raise UniformityTwoUnsupported(
             "set-spectrum assembly from subtrees holds only for k >= 3"
@@ -984,11 +989,10 @@ def spectral_radius(H: UniformHypergraph) -> float:
     least the term 1/(alpha - rho^k); the Newton step 1/(phi'/phi) is
     at most alpha - rho^k, so no iterate passes rho^k.
     """
-    _require_spectrum_input(H)
+    order, children = hypertree_walk(H)
     if H.m == 0:
         raise ValidationError("spectral radius needs at least one edge")
     k = H.k
-    order, children = hypertree_walk(H)
     guess = _radius_guess(order, children, k)
     if not 0 < guess < math.inf:
         guess = 1.0
@@ -1174,9 +1178,9 @@ def find_totally_nonzero_eigenvector(
     """
     _require_tol(tol)
     _require_finite_lam(lam)
-    _require_spectrum_input(H)
+    walk = hypertree_walk(H)
     _require_nonzero_lam(lam, tol)
-    raw = _leaf_to_root_eigenvector(*hypertree_walk(H), H.k, lam)
+    raw = _leaf_to_root_eigenvector(*walk, H.k, lam)
     if raw is None:
         raise NoConvergence(
             f"the leaf-to-root elimination meets a pole at lambda = {lam}"
@@ -1205,9 +1209,8 @@ def rotate_eigenpair(
     """
     _require_tol(tol)
     _require_finite_lam(lam)
-    _require_spectrum_input(H)
-    _require_nonzero_lam(pair.lam, tol)
     order, children = hypertree_walk(H)
+    _require_nonzero_lam(pair.lam, tol)
     k = H.k
     b = round(k * cmath.phase(lam / pair.lam) / (2 * math.pi)) % k
     s = [0] * len(children)

@@ -72,9 +72,9 @@ class SubtreeCatalog:
 
 def _fold(H: UniformHypergraph, max_states: int, masks: bool):
     """Yield, for each vertex v of H's ``hypertree_walk``, leaves first,
-    the set of packed (A, B, mask) states of the edge subsets topped at
-    v, the empty subset's (1, 1, 0) included.  NotAHypertree, from the
-    walk, unless H is one.
+    the packed (A, B, mask) states of the edge subsets topped at v, the
+    empty subset's (1, 1, 0) included: a list with ``masks``, a set
+    without.  NotAHypertree, from the walk, unless H is one.
 
     Each component is rooted at its smallest vertex, and every connected
     subset has exactly one top vertex, the one nearest the root.  Vertex
@@ -89,28 +89,30 @@ def _fold(H: UniformHypergraph, max_states: int, masks: bool):
     products over an edge's children are int multiplies.  Slots never
     carry: every coefficient of every product and sum counts the
     i-matchings of a subforest of H, which is at most C(m, i) <= 2^m <
-    2^w.  Ints also hash cheaply, which makes the per-vertex sets cheap.
+    2^w.
 
     With ``masks``, each option for e starts with mask 1 << (m - 1 - e),
     so edge e holds bit m - 1 - e (``_subtree_counts`` says why), no two
-    subsets share a state, and v's set holds one state per subset topped
-    at v: each subset is built once, by one join from smaller ones.
-    Without, every mask is 0 and v keeps only the distinct (A, B) states:
-    two subsets with equal (A, B) give equal states after every later
-    join, so the nontrivial A over all vertices are still exactly the
-    catalog's count lists.  The cost then follows the number of distinct
-    states: m nonempty ones at the centre of ``star(m, k)``, which has
-    2^m - 1 subsets, about m^2 / 2 on loose paths, and still exponential
-    where the distinct polynomials are.
+    subsets share a state, and v's list holds one state per subset
+    topped at v: each subset is built once, by one join from smaller
+    ones.  Every state is unique already, so no set need hash 3-tuples
+    of m-bit ints to find no duplicate.  Without, every mask is 0 and
+    v's set keeps only the distinct (A, B) states, which is the point
+    of the set: two subsets with equal (A, B) give equal states after
+    every later join, so the nontrivial A over all vertices are still
+    exactly the catalog's count lists.  The cost then follows the number
+    of distinct states: m nonempty ones at the centre of ``star(m, k)``,
+    which has 2^m - 1 subsets, about m^2 / 2 on loose paths, and still
+    exponential where the distinct polynomials are.
 
     CatalogTooLarge, naming the edge being folded, as soon as the
     distinct nonempty states built so far pass ``max_states``.  They are
-    counted after each row of a product, so no set outgrows the cap by
-    more than one row.  A child edge's set of options counts too: each
+    counted after each row of a product, so no vertex's states outgrow
+    the cap by more than one row.  A child edge's options count too: each
     option gives the edge a distinct nonempty state, so options past the
     cap mean states past it, and the early refusal never turns away a
-    host whose states fit.  Each vertex's set is dropped once its parent
-    has read it.
+    host whose states fit.  Each vertex's states are dropped once its
+    parent has read them.
     """
     order, children = hypertree_walk(H)
     w = H.m + 1
@@ -123,23 +125,25 @@ def _fold(H: UniformHypergraph, max_states: int, masks: bool):
             f"refused while folding edge {list(H.edges[i])}"
         )
 
+    bag, grow = (list, list.extend) if masks else (set, set.update)
     for v in reversed(order):
-        top = {(1, 1, 0)}
+        top = bag([(1, 1, 0)])
         room = max_states - built + 1  # top's size limit, (1, 1, 0) included
         for i, kids in children[v]:
-            options = {(1, 1, 1 << (H.m - 1 - i) if masks else 0)}
+            options = bag([(1, 1, 1 << (H.m - 1 - i) if masks else 0)])
             for c in kids:
-                grown = set()
+                grown = bag()
                 for pa, pb, pm in options:
-                    grown.update([(pa * a, pb * b, pm | m) for a, b, m in states[c]])
+                    grow(grown, [(pa * a, pb * b, pm | m) for a, b, m in states[c]])
                     if len(grown) > max_states:
                         raise refuse(i)
                 options = grown
                 states[c] = None
             old = tuple(top)
             for pa, pb, pm in options:
-                top.update(
-                    [(sa * pa + (sb * pb << w), sb * pa, sm | pm) for sa, sb, sm in old]
+                grow(
+                    top,
+                    [(sa * pa + (sb * pb << w), sb * pa, sm | pm) for sa, sb, sm in old],
                 )
                 if len(top) > room:
                     raise refuse(i)
@@ -157,12 +161,28 @@ def _ranked_polys(packed: set[int], w: int) -> list[tuple[int, AlphaPolynomial]]
     the little-endian coefficients, built straight from the int with no
     ``MatchingCounts`` round trip.  ValidationError, as ``MatchingCounts``
     raises it, unless slot 0 holds 1; the top slot is nonzero by
-    construction, and ``AlphaPolynomial`` checks its lead.  Equal lengths
-    mean equal degrees, so (length, coefficients) is the same order.
+    construction, and ``AlphaPolynomial`` checks its lead.
+
+    The sort key is two ints per list, (d, A ^ odd), where d is the
+    top slot's index, so the degree, and ``odd`` has all ones in every
+    odd slot.  Within one degree, coeffs[j] is (-1)^(d - j) times
+    slot d - j, so comparing coefficients compares the slots from the
+    top down, as comparing the ints does, except that on odd slots the
+    order is reversed.  XOR with all ones reverses the order of the
+    values within a slot and never carries, so it turns exactly the odd
+    slots around.  Slots above d hold the same bits in every key of
+    degree d and decide nothing.
     """
     slot = (1 << w) - 1
+    # all ones in slots 1, 3, 5, ..., doubled up past the widest list
+    odd = slot << w
+    span = 2 * w
+    widest = max(packed, default=0).bit_length()
+    while span < widest:
+        odd |= odd << span
+        span *= 2
     ranked = []
-    for a in packed:
+    for a in sorted(packed, key=lambda a: ((a.bit_length() - 1) // w, a ^ odd)):
         if a & slot != 1:
             raise ValidationError("matching counts must start with counts[0] = 1")
         coeffs = []
@@ -175,7 +195,6 @@ def _ranked_polys(packed: set[int], w: int) -> list[tuple[int, AlphaPolynomial]]
             rest >>= w
         coeffs.reverse()
         ranked.append((a, AlphaPolynomial(tuple(coeffs))))
-    ranked.sort(key=lambda ap: (len(ap[1].coeffs), ap[1].coeffs))
     return ranked
 
 
@@ -268,7 +287,9 @@ def distinct_matching_polynomials(
     packed count list is the dedup key: it and the alpha polynomial
     determine each other, so each distinct one is converted once.
     ``subsets`` come in (size, indices) order, from one int sort of the
-    fold's bit-reversed edge masks (see ``_subtree_counts``).
+    fold's bit-reversed edge masks, each with its packed list (see
+    ``_subtree_counts``); ``poly_of_subset`` looks each list's rank up
+    in ``_ranked_polys``'s (degree, coefficients) order.
     ValidationError unless ``max_subsets`` is an int >= 1 (not a bool);
     CatalogTooLarge, from an up-front count, when there are more than
     ``max_subsets`` subsets.  Vertex-only subtrees (polynomial 1, no

@@ -781,6 +781,32 @@ def test_spectral_radius_of_a_500_edge_path_within_budget():
     assert rho == pytest.approx(want, rel=1e-12)
 
 
+def test_radius_and_eigenvectors_of_trees_match_numpy():
+    # a tree's characteristic polynomial is its matching polynomial in
+    # x^2, so rho is the adjacency matrix's largest eigenvalue; the
+    # set spectrum still refuses k = 2, where the subtree rule fails
+    import numpy as np
+
+    rng = random.Random(23)
+    hosts = [random_hypertree(m, 2, rng) for m in (5, 30, 300, 2000)]
+    with Budget("radius, eigenvector and its rotation on 2-trees", 1.0):
+        found = []
+        for H in hosts:
+            rho = spectral_radius(H)
+            pair = find_totally_nonzero_eigenvector(H, rho)
+            found.append((rho, pair, rotate_eigenpair(H, pair, -rho)))
+    for H, (rho, pair, turned) in zip(hosts, found):
+        adjacency = np.zeros((H.n, H.n))
+        for a, b in H.edges:
+            adjacency[a - 1, b - 1] = adjacency[b - 1, a - 1] = 1
+        assert rho == pytest.approx(np.linalg.eigvalsh(adjacency)[-1], rel=1e-13)
+        assert pair.residual <= 1e-8
+        # the bipartition's signs turn rho into -rho
+        assert turned.residual <= 1e-8
+    with pytest.raises(UniformityTwoUnsupported):
+        is_cyclotomic_spectrum(hosts[0])
+
+
 def _mpmath_largest_real_root(coeffs):
     """Newton at 50 digits from numpy's largest real root; the Perron
     root of a connected tree is simple, so Newton converges to it."""
@@ -1121,8 +1147,9 @@ def test_rotate_eigenpair_refuses_a_cycle_at_once():
     with Budget("rotate_eigenpair on a cycle", 0.5):
         with pytest.raises(NotAHypertree):
             rotate_eigenpair(CYCLE, pair, zeta)
-    with pytest.raises(UniformityTwoUnsupported):
-        rotate_eigenpair(loose_path(2, 2), pair, zeta)
+    # a graph cycle is refused for what it is, not for its k = 2
+    with pytest.raises(NotAHypertree):
+        rotate_eigenpair(build(2, 3, [[1, 2], [2, 3], [1, 3]]), pair, zeta)
 
 
 @pytest.mark.parametrize("H", [CYCLE, CYCLE_PLUS_VERTEX])

@@ -5,6 +5,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from helpers import induced_closure_holds, pendant_edges
@@ -292,6 +294,62 @@ def test_catalog_converts_each_distinct_count_tuple_once(monkeypatch):
     assert len(catalog.subsets) == 4095
     assert len(catalog.polys) == 12
     assert len(calls) == 12 == len(set(calls))
+
+
+def test_masked_fold_builds_each_subset_once():
+    # the masked fold keeps its states in lists, so no set would hide a
+    # subset built twice
+    hosts = [(name, H) for name, H in helpers.ladder_hosts() if H.m <= 14]
+    assert len(hosts) >= 30
+    for name, H in hosts:
+        fold = subtrees._fold(H, subtrees.DEFAULT_MAX_SUBSETS, True)
+        masks = [mask for top in fold for _, _, mask in top if mask]
+        assert len(masks) == len(set(masks)), name
+        # the up-front count, read from its refusal
+        with pytest.raises(CatalogTooLarge, match=f"the host has {len(masks)}$"):
+            subtrees._subtree_counts(H, 0)
+        # edge e holds bit m - 1 - e
+        natural = {int(f"{mask:0{H.m}b}"[::-1], 2) for mask in masks}
+        assert natural == helpers.brute_connected_edge_masks(H), name
+
+
+def _packed(slots, w):
+    return sum(c << (i * w) for i, c in enumerate(slots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ranked_polys_order_is_degree_then_coefficients(data):
+    w = data.draw(st.integers(1, 8), label="w")
+    full = (1 << w) - 1
+    # the extremes of a slot, often, so that leading slots tie
+    value = st.one_of(st.sampled_from([0, full]), st.integers(0, full))
+    lists = data.draw(
+        st.lists(
+            st.tuples(st.lists(value, max_size=5), st.integers(1, full)),
+            min_size=1,
+            max_size=12,
+        ),
+        label="middle and top slots",
+    )
+    # slot 0 holds 1, and the top slot is nonzero
+    packed = {_packed([1, *middle, top], w) for middle, top in lists}
+
+    def coeffs(a):
+        slots = []
+        while a:
+            slots.append(a & full)
+            a >>= w
+        d = len(slots) - 1
+        return tuple((-1) ** (d - j) * slots[d - j] for j in range(d + 1))
+
+    want = sorted(packed, key=lambda a: (len(coeffs(a)), coeffs(a)))
+    ranked = subtrees._ranked_polys(packed, w)
+    assert [a for a, _ in ranked] == want
+    assert [p.coeffs for _, p in ranked] == [coeffs(a) for a in want]
+    bad = data.draw(st.integers(0, full).filter(lambda c: c != 1), label="slot 0")
+    with pytest.raises(ValidationError, match="counts\\[0\\] = 1"):
+        subtrees._ranked_polys(packed | {_packed([bad, 1], w)}, w)
 
 
 def test_catalog_json_shape():

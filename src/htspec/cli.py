@@ -24,6 +24,7 @@ from pathlib import Path
 from . import core, fixtures, matching, spectra, subtrees
 from .errors import ConvergenceError, ValidationError
 
+_GEN_SEED = 24301  # gen's own, so a change to Aberth's seed moves no host
 _GEN_USAGE = (
     "generator spec: comb K | path T K | star T K | random M K | "
     "power K <spec>"
@@ -314,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         "--seed": dict(
             type=int,
-            default=spectra.DEFAULT_SEED,
+            default=_GEN_SEED,
             help="PRNG seed of the random generator",
         ),
         "--format": dict(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -29,10 +29,6 @@ from .errors import (
 class UniformHypergraph:
     """Canonical k-uniform hypergraph on vertices 1..n.
 
-    ``parent_vertices`` is populated by :func:`induced`: entry ``i``
-    holds the label, in the graph this one was induced from, of vertex
-    ``i + 1`` here.  It is metadata only and excluded from equality.
-
     The first structural check or tree fold on a host walks it
     (``_walk``), and every later one reads that walk: it stays in the
     instance __dict__, O(n + mk), for as long as the host lives.
@@ -41,9 +37,6 @@ class UniformHypergraph:
     k: int
     n: int
     edges: tuple[tuple[int, ...], ...]
-    parent_vertices: tuple[int, ...] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def m(self) -> int:
@@ -70,12 +63,7 @@ class UniformHypergraph:
         return deg
 
 
-def build(
-    k: int,
-    n: int,
-    edges: Sequence[Sequence[int]],
-    parent_vertices: tuple[int, ...] | None = None,
-) -> UniformHypergraph:
+def build(k: int, n: int, edges: Sequence[Sequence[int]]) -> UniformHypergraph:
     """Validate and canonicalize a k-uniform hypergraph.
 
     Raises:
@@ -108,7 +96,7 @@ def build(
     for a, b in zip(canon, canon[1:]):
         if a == b:
             raise DuplicateEdge(f"edge {list(a)} occurs twice")
-    return UniformHypergraph(k, n, tuple(canon), parent_vertices)
+    return UniformHypergraph(k, n, tuple(canon))
 
 
 def _walk(H: UniformHypergraph) -> tuple[tuple[int, ...], tuple, int, int | None]:
@@ -224,11 +212,10 @@ def edge_adjacency_masks(H: UniformHypergraph) -> list[int]:
 
 
 def induced(H: UniformHypergraph, U: Iterable[int]) -> UniformHypergraph:
-    """Induced sub-hypergraph on U, relabeled to 1..|U|.
+    """Induced sub-hypergraph on U, relabeled to 1..|U| in increasing
+    order: vertex i here is vertex ``sorted(set(U))[i - 1]`` of H.
 
-    Edges are exactly those of H fully contained in U.  The original
-    labels are retained in ``parent_vertices`` so eigenvector support
-    arguments can map back into H.
+    Edges are exactly those of H fully contained in U.
     """
     members = tuple(sorted(set(U)))
     if not members:
@@ -241,7 +228,7 @@ def induced(H: UniformHypergraph, U: Iterable[int]) -> UniformHypergraph:
     sub_edges = [
         tuple(relabel[v] for v in e) for e in H.edges if inside.issuperset(e)
     ]
-    return build(H.k, len(members), sub_edges, parent_vertices=members)
+    return build(H.k, len(members), sub_edges)
 
 
 def vertex_union(H: UniformHypergraph, edge_indices: Iterable[int]) -> tuple[int, ...]:

@@ -13,10 +13,9 @@ library against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import _ratpoly as _rp
-from .core import UniformHypergraph, build
+from .core import UniformHypergraph, build, induced, vertex_union
 from .errors import ConvergenceError, UnknownFixture, ValidationError
 from .matching import AlphaPolynomial, alpha_poly, alpha_str, x_str
 from .spectra import (
@@ -27,7 +26,7 @@ from .spectra import (
     find_totally_nonzero_eigenvector,
     zero_extend,
 )
-from .subtrees import distinct_matching_polynomials, subtree_hypergraph
+from .subtrees import distinct_matching_polynomials
 
 FIXTURE_NAMES = ("H1", "H2", "H3")
 
@@ -139,7 +138,6 @@ _EDGES = {
 }
 
 
-@lru_cache(maxsize=None)
 def hypergraph(name: str) -> UniformHypergraph:
     """The hypertree a fixture describes, on the fixture's k and n."""
     f = fixture(name)
@@ -220,20 +218,21 @@ def spectrum_crosscheck(name: str, tol: float = DEFAULT_SET_TOL) -> FixtureRepor
             f"factor bases {[alpha_str(p) for p in bases]} differ from subtree "
             f"matching polynomials {[alpha_str(p) for p in catalog.polys]}"
         )
-    first = {}
+    witness = {}
     for F, j in zip(catalog.subsets, catalog.poly_of_subset):
-        first.setdefault(j, F)
-    witness = {catalog.polys[j]: subtree_hypergraph(H, F) for j, F in first.items()}
+        if catalog.polys[j] not in witness:
+            labels = vertex_union(H, F.indices)
+            witness[catalog.polys[j]] = induced(H, labels), labels
     lifts, worst, failure = 0, 0.0, None
     for lam, source in _lifts(catalog.polys, H.k):
         lifts += 1
-        sub = witness[source.poly]
+        sub, labels = witness[source.poly]
         try:
             pair = find_totally_nonzero_eigenvector(sub, lam, tol)
         except (ConvergenceError, ValidationError) as exc:
             failure = f"no witness for lambda = {lam}: {exc}"
             break
-        residual = eigen_residual(H, lam, zero_extend(pair.x, sub.parent_vertices, H.n))
+        residual = eigen_residual(H, lam, zero_extend(pair.x, labels, H.n))
         if not residual <= tol:
             failure = (
                 f"the witness for lambda = {lam} has host residual "

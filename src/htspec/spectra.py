@@ -453,12 +453,12 @@ def alpha_roots(p: AlphaPolynomial) -> list[tuple[complex, int]]:
       by a fixed seed so that every call gives the same roots.  The
       count's real roots come back with imaginary part exactly 0, the
       others as exact conjugate pairs, and each must meet
-      ``|p(r)| <= ROOT_TOL * max|coeff| * max(1, |r|)^deg``: a target,
-      not a distance to the root.
+      ``|p(r)| <= ROOT_TOL * max|coeff| * max(1, |r|)^deg``, a target
+      that grows like |r|^deg, and lie within its factor's Fujiwara bound.
 
-    Raises DidNotConverge when Aberth misses that target, stalls or
-    overflows floats, when its roots cannot be split as the Sturm count
-    says, or when a real root cannot be told apart in floats.
+    Raises DidNotConverge when Aberth misses the target or the bound,
+    stalls or overflows floats, when its roots cannot be split as the
+    Sturm count says, or when a real root cannot be told apart in floats.
 
     Each distinct p is solved once while it stays among the 4096
     polynomials most recently asked for: a fixed-size LRU memo keyed by
@@ -505,7 +505,16 @@ def _alpha_roots(p: AlphaPolynomial) -> tuple[tuple[complex, int], ...]:
                 continue
             rng = rng or random.Random(DEFAULT_SEED)
             roots = _aberth([float(c) for c in f], rng)
+            # Fujiwara's bound on the root moduli of f
+            d, lead = len(f) - 1, abs(f[-1])
+            terms = [(abs(f[d - i]) / lead) ** (1 / i) for i in range(1, d)]
+            radius = 2 * max([*terms, (abs(f[0]) / (2 * lead)) ** (1 / d)])
             for z in _split_roots(roots, n_real):
+                if abs(z) > radius * (1 + 1e-9):
+                    raise DidNotConverge(
+                        f"root {z} of {alpha_str(p)} lies outside the "
+                        f"Fujiwara bound {radius:.6g} of its factor"
+                    )
                 bound = ROOT_TOL * maxc * max(1.0, abs(z)) ** p.degree
                 if abs(p(z)) > bound:
                     raise DidNotConverge(
@@ -1144,9 +1153,9 @@ def zero_extend(
     host_n: int,
 ) -> list[complex]:
     """Place a subtree eigenvector into the host, zeros elsewhere: entry
-    i of x_sub goes to host vertex labels[i], as in a subtree's
-    ``parent_vertices``.  DimensionMismatch unless x_sub and labels have
-    the same length, VertexOutOfRange for a label outside 1..host_n."""
+    i of x_sub goes to host vertex labels[i], ``sorted(set(U))`` for an
+    ``induced`` subtree on U.  DimensionMismatch unless x_sub and labels
+    have the same length, VertexOutOfRange for a label outside 1..host_n."""
     if len(x_sub) != len(labels):
         raise DimensionMismatch(
             f"{len(x_sub)} entries for {len(labels)} vertex labels"

@@ -222,13 +222,20 @@ def obstruction_subtree(H: UniformHypergraph, edge: int) -> UniformHypergraph:
     return subtree_hypergraph(H, EdgeSubset(tuple(sorted(picked))))
 
 
-def first_subtrees(catalog) -> dict[AlphaPolynomial, UniformHypergraph]:
+def first_subtrees(
+    catalog,
+) -> dict[AlphaPolynomial, tuple[UniformHypergraph, tuple[int, ...]]]:
     """Each distinct polynomial of a subtree catalog, with the subtree of
-    the first subset, in (size, indices) order, that has it."""
+    the first subset, in (size, indices) order, that has it, and the
+    host labels of that subtree's vertices 1..n (``vertex_union``)."""
     first = {}
     for F, j in zip(catalog.subsets, catalog.poly_of_subset):
         first.setdefault(catalog.polys[j], F)
-    return {p: subtree_hypergraph(catalog.host, F) for p, F in first.items()}
+    H = catalog.host
+    return {
+        p: (subtree_hypergraph(H, F), vertex_union(H, F.indices))
+        for p, F in first.items()
+    }
 
 
 def tamper_h1(monkeypatch) -> None:

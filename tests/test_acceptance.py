@@ -160,12 +160,12 @@ def test_criterion_7_eigenpair_witnesses_on_h3():
         for lam, source in zip(spectrum.values, spectrum.sources):
             if source is None or abs(lam) <= SET_TOL:
                 continue
-            sub = witness[source.poly]
+            sub, labels = witness[source.poly]
             pair = find_totally_nonzero_eigenvector(sub, lam, tol=SET_TOL)
             assert len(pair.x) == sub.n
             assert all(abs(v) > SET_TOL for v in pair.x)
             assert pair.residual <= SET_TOL
-            extended = zero_extend(pair.x, sub.parent_vertices, H3.n)
+            extended = zero_extend(pair.x, labels, H3.n)
             assert eigen_residual(H3, lam, extended) <= SET_TOL
             checked += 1
         assert checked == 39  # 13 alpha roots, three lifts each

@@ -39,6 +39,26 @@ def test_gen_comb3_is_canonical(capsys):
     )
 
 
+def test_gen_seed_default_is_the_clis_own(capsys, monkeypatch):
+    from htspec import spectra
+
+    _, want, _ = run(capsys, "gen", "--seed", "24301", "random", "6", "3")
+    monkeypatch.setattr(spectra, "DEFAULT_SEED", 1)
+    assert run(capsys, "gen", "random", "6", "3") == (0, want, "")
+
+
+def test_gen_refuses_a_malformed_spec(capsys):
+    for spec, invariant in (
+        (["power", "3"], "generator spec"),
+        (["path", "3"], "generator spec"),
+        (["path", "x", "3"], "generator spec"),
+        (["comb", "3", "extra"], "trailing generator tokens ['extra']"),
+    ):
+        code, out, err = run(capsys, "gen", *spec)
+        assert (code, out) == (2, ""), spec
+        assert invariant in err, spec
+
+
 def test_matchpoly_h3(capsys, tmp_path):
     code, out, _ = run(capsys, "matchpoly", write_h3(tmp_path))
     assert code == 0
@@ -72,6 +92,9 @@ def test_radius(capsys, tmp_path):
     code, out, _ = run(capsys, "radius", str(path))
     assert code == 0
     assert float(out) == pytest.approx(2 ** (1 / 3), abs=1e-12)
+    assert run(capsys, "radius", str(path), "--format", "json") == (
+        0, json.dumps({"spectral_radius": float(out)}) + "\n", ""
+    )
 
 
 def test_alpha_index_on_a_100_edge_path_takes_the_closed_form_root(capsys, tmp_path):
@@ -138,6 +161,9 @@ def test_cyclotomic_text(capsys, tmp_path):
     path.write_text(core.dumps(core.star(3, 3)))
     code, out, _ = run(capsys, "cyclotomic", str(path))
     assert code == 0 and out.strip() == "true"
+    path.write_text(core.dumps(core.comb(3)))
+    code, out, _ = run(capsys, "cyclotomic", str(path), "--format", "json")
+    assert (code, out) == (0, '{"cyclotomic_spectrum": false}\n')
 
 
 def test_eigvec_default_is_spectral_radius_vector(capsys, tmp_path):
@@ -274,9 +300,8 @@ def test_check_paper_passes(capsys):
 
 
 def test_check_paper_walks_each_host_once(capsys, monkeypatch):
-    from htspec import fixtures, spectra, subtrees
+    from htspec import spectra, subtrees
 
-    fixtures.hypergraph.cache_clear()  # fresh fixture hosts, not yet walked
     walked = helpers.count_walks(monkeypatch)
     catalogs, folds = [], []
     real_counts, real_polys = subtrees._subtree_counts, subtrees._distinct_polys
@@ -437,6 +462,15 @@ def test_validation_errors_exit_2(capsys, tmp_path):
     lone.write_text('{"k": 3, "n": 1, "edges": []}')
     code, _, err = run(capsys, "eigvec", str(lone), "--alpha-index", "0")
     assert code == 2 and "the matching polynomial has no alpha roots" in err
+    code, out, err = run(capsys, "radius", str(lone))
+    assert (code, out) == (2, "")
+    assert "spectral radius needs at least one edge" in err
+
+    comb3 = tmp_path / "comb3.json"
+    comb3.write_text(core.dumps(core.comb(3)))
+    code, out, err = run(capsys, "eigvec", str(comb3), "--alpha-index", "9")
+    assert (code, out) == (2, "")
+    assert "--alpha-index 9 outside 0..2" in err
 
 
 def test_malformed_vertex_labels_exit_2(capsys, monkeypatch):

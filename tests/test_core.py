@@ -169,7 +169,8 @@ def test_rooted_walk_children_carry_their_edge_index():
 def test_induced_h3_on_first_nine_is_comb3():
     sub = induced(h3(), range(1, 10))
     assert sub == comb(3)
-    assert sub.parent_vertices == tuple(range(1, 10))
+    # U is relabeled in increasing order: 1, 10, 11 become 1, 2, 3
+    assert induced(h3(), [11, 10, 1]) == build(3, 3, [[1, 2, 3]])
 
 
 def test_induced_identity_and_singleton():
@@ -182,6 +183,18 @@ def test_induced_identity_and_singleton():
 def test_induced_rejects_foreign_vertices():
     with pytest.raises(VertexOutOfRange):
         induced(h3(), [1, 99])
+
+
+def test_constructors_refuse_empty_and_degenerate_sizes():
+    for make, invariant in (
+        (lambda: induced(h3(), []), "nonempty vertex set"),
+        (lambda: loose_path(0, 3), "t >= 1"),
+        (lambda: star(0, 3), "t >= 1"),
+        (lambda: comb(1), "k >= 2"),
+        (lambda: random_hypertree(0, 3, random.Random(1)), "edge_count >= 1"),
+    ):
+        with pytest.raises(ValidationError, match=invariant):
+            make()
 
 
 def test_pendant_edges_comb3():
@@ -321,6 +334,9 @@ def test_json_rejects_malformed_payloads():
         loads('{"k": 3, "n": 3}')
     with pytest.raises(ValidationError):
         loads('{"k": "3", "n": 3, "edges": []}')
+    for edges in ('"1 2 3"', "[[1, 2, 3], 4]"):
+        with pytest.raises(ValidationError, match="edges must be a list of lists"):
+            loads(f'{{"k": 3, "n": 3, "edges": {edges}}}')
     with pytest.raises(ValidationError):
         loads("{nope")
 
@@ -404,7 +420,7 @@ def test_the_walk_memo_is_not_part_of_the_value(monkeypatch):
         assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
         assert pickle.dumps(warm) == pickle.dumps(cold)
         back = pickle.loads(pickle.dumps(warm))
-        assert back == warm and back.parent_vertices == warm.parent_vertices
+        assert back == warm
         walked = helpers.count_walks(monkeypatch)
         assert is_hyperforest(back) == is_hyperforest(warm)
         assert len(walked) == 1 and walked[0] is back

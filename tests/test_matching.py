@@ -19,6 +19,7 @@ from helpers import (
     poly_sub,
 )
 from htspec import (
+    AlphaPolynomial,
     _ratpoly,
     alpha_poly,
     alpha_str,
@@ -184,6 +185,13 @@ def test_expand_to_x():
     assert expand_to_x(alpha_poly([-1, 1]), 3) == {0: -1, 3: 1}
     assert expand_to_x(alpha_poly([1, -3, 1]), 3) == {0: 1, 3: -3, 6: 1}
     assert expand_to_x(alpha_poly([1]), 5) == {0: 1}
+    with pytest.raises(ValidationError, match="k >= 2"):
+        expand_to_x(alpha_poly([-1, 1]), 1)
+
+
+def test_alpha_polynomial_refuses_a_trailing_zero():
+    with pytest.raises(ValidationError, match="not normalized"):
+        AlphaPolynomial((1, 0))
 
 
 def test_text_forms():

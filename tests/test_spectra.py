@@ -215,9 +215,35 @@ def test_roots_that_contradict_the_sturm_count_raise(monkeypatch):
 def test_alpha_roots_zero_roots_and_validation():
     p = alpha_poly([0, 0, -1, 1])  # a^2 (a - 1)
     assert alpha_roots(p) == [(0j, 2), ((1 + 0j), 1)]
+    assert alpha_roots(alpha_poly([0, 0, 1])) == [(0j, 2)]
     with pytest.raises(ValidationError):
         alpha_roots(alpha_poly([]))
     assert alpha_roots(alpha_poly([7])) == []
+
+
+def test_aberth_roots_outside_the_fujiwara_bound_raise():
+    # the residual target grows like |z|^deg and Aberth starts on the
+    # Cauchy radius 1 + max|c/lead|, so with max|c| >= 1e12 |lead| the
+    # start circle met the target: five roots of modulus 1.9e14-2.6e14,
+    # where Fujiwara's bound puts every root within 9.3e4
+    from htspec.errors import DidNotConverge
+
+    p = alpha_poly([10**14, 8 * 10**14, 10**14, -7, 0, 1])
+    with pytest.raises(DidNotConverge, match="outside the Fujiwara bound 92831.8"):
+        alpha_roots(p)
+
+
+def test_aberth_quadratic_closed_form():
+    # no ladder host or benchmark op reaches the degree-2 branch of
+    # _aberth, but public inputs do: on 1e20 + a^2 the general iteration
+    # returned roots of modulus 7.4e18 that met the residual target
+    assert alpha_roots(alpha_poly([10**20, 0, 1])) == [(-1e10j, 1), (1e10j, 1)]
+    assert alpha_roots(alpha_poly([1, 0, 10**20])) == [(-1e-10j, 1), (1e-10j, 1)]
+    half = math.sqrt(3) / 2
+    assert alpha_roots(alpha_poly([1, -1, 1])) == [
+        (complex(0.5, -half), 1),
+        (complex(0.5, half), 1),
+    ]
 
 
 def _small_ladder_hosts():
@@ -318,6 +344,8 @@ def test_lift_to_x():
         assert abs(lam**3 - 2) < 1e-12
         assert abs(abs(lam) - 2 ** (1 / 3)) < 1e-12
     assert lift_to_x(0j, 3) == [0j, 0j, 0j]
+    with pytest.raises(ValidationError, match="k >= 2"):
+        lift_to_x(1 + 0j, 1)
 
 
 def test_set_spectrum_single_edge():
@@ -807,6 +835,28 @@ def test_radius_and_eigenvectors_of_trees_match_numpy():
         is_cyclotomic_spectrum(hosts[0])
 
 
+def test_radius_of_power_trees_matches_numpy():
+    # rho(power(T, k)) = rho(T)^(2/k) for a 2-tree T and k >= 3
+    # (Hu-Qi-Shao 2013, Zhou-Sun-Wang-Bu 2014), and rho(T) is the
+    # largest eigenvalue of T's adjacency matrix: a reference with no
+    # matching polynomial and no root solver
+    import numpy as np
+
+    rng = random.Random(31)
+    # one k each past 1000 edges, where the dense eigvalsh takes the time
+    plan = [(m, (3, 4, 5)) for m in (10, 50, 200)] + [(1000, (4,)), (2000, (5,))]
+    cases = [(random_hypertree(m, 2, rng), ks) for m, ks in plan]
+    with Budget("radius of power trees up to 2000 edges", 2.0):
+        found = [[spectral_radius(power(T, k)) for k in ks] for T, ks in cases]
+    for (T, ks), radii in zip(cases, found):
+        adjacency = np.zeros((T.n, T.n))
+        for a, b in T.edges:
+            adjacency[a - 1, b - 1] = adjacency[b - 1, a - 1] = 1
+        top = np.linalg.eigvalsh(adjacency)[-1]
+        for k, rho in zip(ks, radii):
+            assert rho == pytest.approx(top ** (2 / k), rel=1e-13), (T.m, k)
+
+
 def _mpmath_largest_real_root(coeffs):
     """Newton at 50 digits from numpy's largest real root; the Perron
     root of a connected tree is simple, so Newton converges to it."""
@@ -887,9 +937,9 @@ def test_every_spectrum_value_has_a_subtree_witness():
         for lam, source in zip(s.values, s.sources):
             if source is None:
                 continue
-            sub = witness[source.poly]
+            sub, labels = witness[source.poly]
             pair = find_totally_nonzero_eigenvector(sub, lam, tol=1e-8)
-            extended = zero_extend(pair.x, sub.parent_vertices, H.n)
+            extended = zero_extend(pair.x, labels, H.n)
             assert eigen_residual(H, lam, extended) <= 1e-8
 
 
@@ -1130,9 +1180,9 @@ def test_witness_extension_into_host():
         for v, src in zip(s.values, s.sources)
         if src is not None and abs(v) > 1e-8
     )
-    sub = helpers.first_subtrees(distinct_matching_polynomials(H3))[source.poly]
+    sub, labels = helpers.first_subtrees(distinct_matching_polynomials(H3))[source.poly]
     pair = find_totally_nonzero_eigenvector(sub, lam)
-    extended = zero_extend(pair.x, sub.parent_vertices, H3.n)
+    extended = zero_extend(pair.x, labels, H3.n)
     assert eigen_residual(H3, lam, extended) <= 1e-8
 
 

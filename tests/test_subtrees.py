@@ -216,15 +216,11 @@ def test_pendant_deletion_reachability():
             target = set(F.indices)
             current = set(range(H.m))
             while current != target:
-                sub = induced(H, vertex_union(H, current))
+                labels = vertex_union(H, current)
+                sub = induced(H, labels)
                 pend = pendant_edges(sub)
                 # map pendant edges of the sub back to host indices
-                back = dict(
-                    zip(
-                        range(1, sub.n + 1),
-                        sub.parent_vertices,
-                    )
-                )
+                back = dict(zip(range(1, sub.n + 1), labels))
                 host_pendants = {
                     tuple(sorted(back[v] for v in e)) for e in pend
                 }
